@@ -46,7 +46,6 @@
 #include "serve/supervisor.h"
 #include "serve/warm_pool.h"
 #include "serve/wire.h"
-#include "serve/worker_pool.h"
 
 namespace {
 
@@ -262,13 +261,11 @@ void register_workloads(obs::BenchSuite& suite) {
   });
 
   // --- Serve: process-isolation overhead ----------------------------------
-  // The Table 1 GEM xor suite again, but every attempt in a forked,
-  // rlimit-sandboxed worker through the supervisor. The delta against
-  // serve/gem-xor-inproc (the same tasks through in-process resilient_run
-  // at the same k=8 cadence) is the full isolation bill: fork + request
-  // ship + checkpoint frames over the pipe + result frame + reap. The
-  // instrumented pass records the worker-lifecycle counters
-  // (worker-spawns etc.) into the JSON next to the wall times.
+  // The Table 1 GEM xor suite again: serve/gem-xor-inproc runs it through
+  // in-process resilient_run at a k=8 cadence, the gem-xor-warm-k* lanes
+  // below run every attempt in a sandboxed warm worker through the
+  // supervisor. The instrumented pass records the worker-lifecycle
+  // counters (worker-spawns etc.) into the JSON next to the wall times.
   auto gem_xor_tasks = [] {
     std::vector<robustness::ReductionTask> tasks;
     const circuit::Circuit c = circuit::xor_circuit();
@@ -290,29 +287,11 @@ void register_workloads(obs::BenchSuite& suite) {
       if (!rep.certified || rep.value != task.expected()) std::abort();
     }
   });
-  auto gem_xor_supervised = [gem_xor_tasks](std::size_t every) {
-    serve::WorkerPool pool;
-    for (const robustness::ReductionTask& task : gem_xor_tasks()) {
-      robustness::CheckpointStore store;
-      serve::SupervisorOptions so;
-      so.checkpoint_every = every;
-      so.store = &store;
-      serve::SupervisedReport rep = serve::supervised_run(pool, task, so);
-      if (!rep.certified || rep.value != task.expected()) std::abort();
-    }
-  };
-  suite.add("serve/gem-xor-supervised-k1", "serve",
-            [gem_xor_supervised] { gem_xor_supervised(1); });
-  suite.add("serve/gem-xor-supervised-k8", "serve",
-            [gem_xor_supervised] { gem_xor_supervised(8); });
-  suite.add("serve/gem-xor-supervised-k64", "serve",
-            [gem_xor_supervised] { gem_xor_supervised(64); });
-
-  // The same supervised suite over a pre-forked WarmPool shared across
+  // The same suite supervised through a pre-forked WarmPool shared across
   // repeats (warmup forks it; measured passes reuse live workers). The
-  // delta against gem-xor-supervised-k* is the per-job fork+exec bill —
-  // most visible at sparse checkpoint cadences (k=64), where wall time is
-  // not dominated by streamed saves.
+  // delta against gem-xor-inproc is the worker pipe: streamed checkpoint
+  // frames dominate at dense cadences (k=1, k=8), the bare request/result
+  // round trip at sparse ones (k=64).
   auto warm_pool = std::make_shared<std::unique_ptr<serve::WarmPool>>();
   auto gem_xor_warm = [gem_xor_tasks, warm_pool](std::size_t every) {
     if (!*warm_pool) {
@@ -339,8 +318,8 @@ void register_workloads(obs::BenchSuite& suite) {
 
   // Steady-state repeat traffic through the full service: warmup fills the
   // verified result cache, measured passes are pure cache hits — no queue
-  // wait, no worker, no checkpoint stream. This is the k=1 fast path the
-  // cold numbers above cannot reach.
+  // wait, no worker, no checkpoint stream. This is the fast path the
+  // supervised lanes above cannot reach.
   auto service = std::make_shared<std::unique_ptr<serve::ReductionService>>();
   suite.add("serve/gem-xor-service-cache-hit", "serve",
             [gem_xor_tasks, service] {

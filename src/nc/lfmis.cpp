@@ -9,11 +9,19 @@ namespace pfact::nc {
 
 std::vector<std::size_t> prefix_row_ranks(
     const Matrix<numeric::Rational>& a) {
+  return prefix_row_ranks(
+      a, [](std::size_t, const Matrix<numeric::Rational>& prefix) {
+        return rank_exact(prefix);
+      });
+}
+
+std::vector<std::size_t> prefix_row_ranks(const Matrix<numeric::Rational>& a,
+                                          const PrefixRankFn& rank) {
   std::vector<std::size_t> ranks(a.rows());
   par::parallel_for(0, a.rows(), [&](std::size_t i) {
     PFACT_SPAN("lfmis.rank");
     PFACT_COUNT(kRankQueries);
-    ranks[i] = rank_exact(a.submatrix(0, 0, i + 1, a.cols()));
+    ranks[i] = rank(i, a.submatrix(0, 0, i + 1, a.cols()));
   });
   return ranks;
 }

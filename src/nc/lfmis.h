@@ -11,6 +11,7 @@
 // bound the paper cites).
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "matrix/matrix.h"
@@ -23,5 +24,13 @@ std::vector<std::size_t> lfmis_rows(const Matrix<numeric::Rational>& a);
 
 // Prefix ranks: result[i] = rank of rows 0..i (all computed concurrently).
 std::vector<std::size_t> prefix_row_ranks(const Matrix<numeric::Rational>& a);
+
+// The same sweep with the rank query supplied by the caller: result[i] =
+// rank(i, rows 0..i). The overload above passes the exact Bareiss rank;
+// tests pass an instrumented one to observe the queries' independence.
+using PrefixRankFn =
+    std::function<std::size_t(std::size_t, const Matrix<numeric::Rational>&)>;
+std::vector<std::size_t> prefix_row_ranks(const Matrix<numeric::Rational>& a,
+                                          const PrefixRankFn& rank);
 
 }  // namespace pfact::nc

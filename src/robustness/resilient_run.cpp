@@ -30,8 +30,9 @@ std::string ResilientReport::to_string() const {
   return s;
 }
 
-ResilientReport resilient_run(const ReductionTask& task,
-                              const ResilientOptions& options) {
+ResilientReport run_ladder(const ReductionTask& task,
+                           const ResilientOptions& options,
+                           const AttemptFn& run_attempt) {
   ResilientReport out;
   CheckpointStore local_store;
   CheckpointStore* store =
@@ -70,20 +71,14 @@ ResilientReport resilient_run(const ReductionTask& task,
       const FaultPlan fault = options.fault_for_attempt
                                   ? options.fault_for_attempt(global_attempt)
                                   : FaultPlan{};
-      CheckpointConfig ckpt;
-      ckpt.every = options.checkpoint_every;
-      ckpt.store = options.checkpoint_every != 0 ? store : nullptr;
-      ckpt.resume = ckpt.store != nullptr;
-      const bool had_checkpoint = ckpt.resume && !store->empty();
-
-      RunReport rep = run_on_substrate(task, sub, options.limits, fault, ckpt);
-      rec.diagnostic = rep.diagnostic;
-      rec.kind = classify_diagnostic(rep.diagnostic);
-      rec.resumed = had_checkpoint && rep.diagnostic !=
-                        Diagnostic::kCheckpointCorrupt;
-      rec.detail = rep.detail;
+      AttemptResult res = run_attempt(sub, global_attempt, fault, *store);
+      rec.diagnostic = res.report.diagnostic;
+      rec.kind = classify_diagnostic(res.report.diagnostic);
+      rec.resumed = res.had_checkpoint &&
+                    res.report.diagnostic != Diagnostic::kCheckpointCorrupt;
+      rec.detail = res.report.detail;
       out.attempts.push_back(rec);
-      out.final_report = std::move(rep);
+      out.final_report = std::move(res.report);
 
       if (rec.kind == FailureKind::kSuccess) {
         out.certified = true;
@@ -101,7 +96,8 @@ ResilientReport resilient_run(const ReductionTask& task,
       }
       // Transient: a torn/corrupt latest checkpoint must not poison the
       // retry — drop it so the next attempt resumes from the previous
-      // intact snapshot (or from scratch).
+      // intact snapshot (or from scratch). A worker that rejected its seed
+      // blob is likewise never handed the same blob again.
       if (out.final_report.diagnostic == Diagnostic::kCheckpointCorrupt) {
         store->drop_latest();
       }
@@ -119,6 +115,23 @@ ResilientReport resilient_run(const ReductionTask& task,
 
   out.outcome = classify_diagnostic(out.final_report.diagnostic);
   return out;
+}
+
+ResilientReport resilient_run(const ReductionTask& task,
+                              const ResilientOptions& options) {
+  return run_ladder(
+      task, options,
+      [&](Substrate sub, std::size_t, const FaultPlan& fault,
+          CheckpointStore& store) {
+        CheckpointConfig ckpt;
+        ckpt.every = options.checkpoint_every;
+        ckpt.store = options.checkpoint_every != 0 ? &store : nullptr;
+        ckpt.resume = ckpt.store != nullptr;
+        AttemptResult res;
+        res.had_checkpoint = ckpt.resume && !store.empty();
+        res.report = run_on_substrate(task, sub, options.limits, fault, ckpt);
+        return res;
+      });
 }
 
 }  // namespace pfact::robustness

@@ -20,7 +20,9 @@
 // Exhausting a rung's retry budget on transients also climbs (the rung is
 // treated as unviable here-and-now); exhausting the ladder returns the last
 // report as a terminal failure. Checkpoints are field-tagged, so the store
-// is cleared on every climb.
+// is cleared on every climb. The loop is run_ladder below, written once:
+// resilient_run plugs in an in-process attempt, serve::supervised_run a
+// sandboxed-worker attempt.
 //
 // Determinism: with a fixed ResilientOptions (policy seed, fault schedule)
 // the whole attempt log — diagnostics, backoff delays, escalations — is
@@ -91,6 +93,32 @@ struct ResilientReport {
   std::string to_string() const;
 };
 
+// What one attempt hands back to the ladder.
+struct AttemptResult {
+  RunReport report;
+  // The attempt started from a stored snapshot. Each attempt callable
+  // defines this for its own path (in-process: checkpointing on and the
+  // store non-empty; worker: a resume blob was handed over the pipe).
+  bool had_checkpoint = false;
+};
+
+// One attempt on `substrate`: `global_attempt` is 1-based across rungs,
+// `fault` is options.fault_for_attempt's plan for it (or none), and `store`
+// is the run's checkpoint store (cleared by the ladder on every climb).
+using AttemptFn = std::function<AttemptResult(
+    Substrate substrate, std::size_t global_attempt, const FaultPlan& fault,
+    CheckpointStore& store)>;
+
+// The retry/escalation loop described above, shared by every execution
+// path: rung skip, store clear on climb, backoff record (and sleep),
+// classification, drop_latest on a corrupt checkpoint, and the
+// retry-attempt / escalation counters. `attempt` runs one try — in-process
+// (resilient_run) or in a sandboxed worker (serve::supervised_run).
+ResilientReport run_ladder(const ReductionTask& task,
+                           const ResilientOptions& options,
+                           const AttemptFn& attempt);
+
+// run_ladder with in-process attempts: run_on_substrate on this thread.
 ResilientReport resilient_run(const ReductionTask& task,
                               const ResilientOptions& options = {});
 

@@ -288,7 +288,13 @@ void Frontend::event_loop() {
       draining = true;
     }
     if (draining && listeners_open) {
-      // Stop accepting: close the doors, keep serving who is inside.
+      // Stop accepting: close the doors, keep serving who is inside. A
+      // connection the kernel already completed waits in the backlog and
+      // may carry the start of a request — it is inside the doors, so take
+      // it in first: a shut-down listener would leave it unaccepted and
+      // unanswered until the client's own deadline.
+      if (unix_fd_ >= 0) accept_ready(unix_fd_);
+      if (tcp_fd_ >= 0) accept_ready(tcp_fd_);
       if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
       if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
       listeners_open = false;

@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/syscall.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -12,6 +11,7 @@
 
 #include "serve/frontend.h"
 #include "serve/wire.h"
+#include "serve/worker.h"
 
 namespace pfact::serve {
 
@@ -22,23 +22,12 @@ namespace {
 // shutdown needs no async-signal-safe gymnastics: the main thread simply
 // returns into the destructors, which drain the frontend and retire the
 // warm workers before _exit.
-// Drop every descriptor inherited from the router process. A shard forked
-// mid-campaign inherits whatever the parent had open at that moment —
-// crucially the pipe ends of OTHER services' warm workers. A duplicate
-// write end held here would keep those workers from ever seeing EOF at
-// their own pool's shutdown, turning an unrelated teardown into a hang.
-// The shard needs nothing from the parent but stdio: it builds its own
-// sockets, pipes, and workers from scratch.
-void close_inherited_fds() {
-#if defined(__linux__) && defined(SYS_close_range)
-  if (::syscall(SYS_close_range, 3u, ~0u, 0u) == 0) return;
-#endif
-  const long max_fd = ::sysconf(_SC_OPEN_MAX);
-  for (int fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) ::close(fd);
-}
-
 [[noreturn]] void shard_child_main(const ShardSpec& spec) {
-  close_inherited_fds();
+  // Drop every descriptor inherited from the router process — other
+  // services' warm-worker pipe ends included, whose duplicates would keep
+  // those workers from ever seeing EOF at their own pool's shutdown. The
+  // shard builds its own sockets, pipes and workers from scratch.
+  close_fds_except(-1, -1);
   // Block SIGTERM before the service threads start so every thread inherits
   // the mask and only the sigwait below can consume it.
   sigset_t term;

@@ -1,33 +1,30 @@
 #pragma once
-// The supervisor: resilient_run's retry/escalation loop, lifted across the
+// The supervisor: resilient_run's retry/escalation ladder, lifted across the
 // process boundary.
 //
-// supervised_run drives ReductionTasks through forked workers (WorkerPool)
-// instead of in-process guarded calls, which upgrades PR 3's *simulated*
-// crash recovery to the real thing: a worker that SIGSEGVs, overruns its
-// rlimit sandbox, or is SIGKILLed by the watchdog dies alone, and the
-// checkpoints it already streamed over the pipe seed its successor. The
-// decision table is unchanged — classify_diagnostic over the same
-// Diagnostic taxonomy — because every way a worker can die is first mapped
-// into that taxonomy by diagnose_worker_exit below. The zero-wrong-answer
-// contract survives the boundary twice over: the worker's own cross-check
-// certificate rides in the result frame, and the supervisor re-checks the
-// returned value against the task's direct evaluation before certifying
-// (a corrupted worker may die; it may not lie).
+// supervised_run drives ReductionTasks through sandboxed workers leased from
+// a WarmPool instead of in-process guarded calls, which upgrades the
+// simulated crash recovery of resilient_run to the real thing: a worker
+// that SIGSEGVs, overruns its rlimit sandbox, or is SIGKILLed by the
+// watchdog dies alone, and the checkpoints it already streamed over the
+// pipe seed its successor. The loop itself is robustness::run_ladder — the
+// same code resilient_run runs — with a worker attempt plugged in; every
+// way a worker can die is first mapped into the Diagnostic taxonomy by
+// diagnose_worker_exit below. The zero-wrong-answer contract survives the
+// boundary twice over: the worker's own cross-check certificate rides in
+// the result frame, and the supervisor re-checks the returned value
+// against the task's direct evaluation before certifying (a corrupted
+// worker may die; it may not lie).
 
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "robustness/checkpoint.h"
 #include "robustness/diagnostics.h"
-#include "robustness/escalation.h"
-#include "robustness/fault_injector.h"
 #include "robustness/guarded_run.h"
 #include "robustness/resilient_run.h"
-#include "robustness/retry.h"
+#include "serve/warm_pool.h"
 #include "serve/wire.h"
 #include "serve/worker_pool.h"
 
@@ -65,55 +62,36 @@ inline robustness::Diagnostic diagnose_worker_exit(WorkerExit e) {
   return robustness::Diagnostic::kInternalError;
 }
 
-struct SupervisorOptions {
-  robustness::RetryPolicy retry;
-  robustness::GuardLimits limits;
-  // Ladder override; empty means default_ladder(task.algorithm).
-  std::vector<robustness::Substrate> ladder;
-  // Checkpoint cadence inside the worker (guard steps between snapshots);
-  // 0 disables checkpoint streaming — a dead worker then restarts from
-  // scratch instead of resuming.
-  std::size_t checkpoint_every = 0;
-  // External store for the streamed blobs; nullptr uses a private one.
-  robustness::CheckpointStore* store = nullptr;
+// ResilientOptions (retry policy, guard limits, ladder, checkpoint cadence
+// and store, fault schedule, sleeper) plus the worker sandbox. The
+// checkpoint cadence applies inside the worker; 0 disables checkpoint
+// streaming — a dead worker then restarts from scratch instead of resuming.
+struct SupervisorOptions : robustness::ResilientOptions {
   // Wall-clock watchdog per worker; 0 disables it.
   std::chrono::milliseconds watchdog{0};
   // rlimit sandbox applied inside every worker.
   WorkerLimits rlimits;
-  // Chaos schedules, keyed by global attempt number (1-based): how attempt
-  // k's worker kills itself, and what fault is injected into its run.
+  // Chaos schedule, keyed by global attempt number (1-based): how attempt
+  // k's worker kills itself.
   std::function<KillPlan(std::size_t attempt)> kill_for_attempt;
-  std::function<robustness::FaultPlan(std::size_t attempt)> fault_for_attempt;
-  // Sleeps backoff delays when installed; null records without sleeping.
-  std::function<void(std::chrono::milliseconds)> sleeper;
 };
 
 // ResilientReport plus the worker-lifecycle view of the same attempts.
-struct SupervisedReport {
-  bool certified = false;
-  bool value = false;
-  robustness::Substrate certified_by = robustness::Substrate::kDouble;
-
-  robustness::FailureKind outcome = robustness::FailureKind::kFatal;
-  robustness::RunReport final_report;  // the deciding attempt's report
-  std::vector<robustness::AttemptRecord> attempts;
-  std::size_t escalations = 0;
-
-  // Worker lifecycle across the whole supervised run.
-  std::size_t workers_spawned = 0;
+struct SupervisedReport : robustness::ResilientReport {
+  std::size_t workers_spawned = 0;      // attempts that leased a worker
   std::size_t workers_crashed = 0;      // any non-kCompleted ending
   std::size_t watchdog_kills = 0;
   std::size_t resume_handoffs = 0;      // workers seeded with a blob
   std::size_t checkpoints_received = 0; // envelope-verified frames filed
   WorkerExit last_worker_exit = WorkerExit::kCompleted;
 
+  // The base report's text with the worker lifecycle appended.
   std::string to_string() const;
 };
 
 // Runs `task` to a certified answer or a classified terminal failure, every
-// attempt in its own sandboxed worker — cold-forked (WorkerPool) or leased
-// from a warm pool (WarmPool), whichever JobRunner is passed. Blocking.
-SupervisedReport supervised_run(JobRunner& pool,
+// attempt in a sandboxed worker leased from `pool`. Blocking.
+SupervisedReport supervised_run(WarmPool& pool,
                                 const robustness::ReductionTask& task,
                                 const SupervisorOptions& options = {});
 

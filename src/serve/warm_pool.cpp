@@ -29,44 +29,18 @@ int reap(pid_t pid) {
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
-// Process-wide registry of every live WarmPool's parent-side pipe fds.
-// With two pools in one process (a service pool next to a bench pool), a
-// child forked by pool B inherits duplicates of pool A's request-pipe
-// write ends; when A later closes them to retire a worker, that worker
-// never sees EOF and A's reap blocks forever. Every forked child therefore
-// closes ALL registered parent-side fds, not just its own pool's. The
-// mutex is held across pipe-creation + fork so a concurrent spawn in
-// another pool cannot slip unregistered fds into the child.
-par::Mutex g_pool_fds_mu;
-std::vector<int>& pool_fds() {
-  static std::vector<int> fds;
-  return fds;
-}
-
-// Caller holds g_pool_fds_mu (spawn_slot keeps it across the fork).
-void register_pool_fd(int fd) {
-  if (fd >= 0) pool_fds().push_back(fd);
-}
-
-void unregister_pool_fd(int fd) {
-  par::MutexLock lock(g_pool_fds_mu);
-  std::vector<int>& fds = pool_fds();
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i] == fd) {
-      fds[i] = fds.back();
-      fds.pop_back();
-      return;
-    }
-  }
+void close_fd(int& fd) {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
 }
 
 }  // namespace
 
 WarmPool::WarmPool(WarmPoolOptions options) : options_(options) {
   if (options_.workers == 0) options_.workers = 1;
-  // Same rationale as WorkerPool: a worker dying mid-conversation turns the
-  // request pipe into a broken pipe, and EPIPE — not SIGPIPE — is the
-  // classifiable outcome.
+  // A worker dying mid-conversation turns the request pipe into a broken
+  // pipe; the supervisor must see EPIPE — the classifiable outcome — not
+  // die of SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   par::MutexLock lock(mu_);
   slots_.resize(options_.workers);
@@ -84,9 +58,6 @@ WarmPool::~WarmPool() {
 
 bool WarmPool::spawn_slot(std::size_t idx) {
   Slot& slot = slots_[idx];
-  // Held across pipe-creation AND fork: the registry snapshot the child
-  // closes must cover every parent-side fd of every pool in the process.
-  par::MutexLock fd_lock(g_pool_fds_mu);
   int to[2];    // parent writes requests
   int from[2];  // child writes checkpoints + results
   if (::pipe(to) != 0) {
@@ -104,7 +75,7 @@ bool WarmPool::spawn_slot(std::size_t idx) {
   set_cloexec(from[0]);
   set_cloexec(from[1]);
 
-  const pid_t pid = ::fork();
+  const pid_t pid = fork_fn_ ? fork_fn_() : ::fork();
   if (pid < 0) {
     ::close(to[0]);
     ::close(to[1]);
@@ -114,22 +85,17 @@ bool WarmPool::spawn_slot(std::size_t idx) {
     return false;
   }
   if (pid == 0) {
-    // Child. Close every registered parent-side pipe fd first — sibling
-    // slots of this pool AND every other live WarmPool in the process: an
+    // Child. Keep stdio and our own two pipe ends, close everything else —
+    // sibling slots' and other pools' parent-side ends included: an
     // inherited duplicate of a request-pipe write end would keep that
-    // pipe's worker from ever seeing its retirement EOF. Then close our
-    // own parent-side ends and enter the job loop.
-    for (int fd : pool_fds()) ::close(fd);
-    ::close(to[1]);
-    ::close(from[0]);
+    // pipe's worker from ever seeing its retirement EOF.
+    close_fds_except(to[0], from[1]);
     ::_exit(worker_loop_main(to[0], from[1]));
   }
 
   // Parent.
   ::close(to[0]);
   ::close(from[1]);
-  register_pool_fd(to[1]);
-  register_pool_fd(from[0]);
   slot.pid = pid;
   slot.to_wr = to[1];
   slot.from_rd = from[0];
@@ -146,16 +112,8 @@ void WarmPool::retire_slot(std::size_t idx) {
   // Closing the request pipe is the retirement signal: worker_loop_main
   // reads EOF at the next job boundary and exits 0. A child that is instead
   // already dead (death path: the caller SIGKILLed it) reaps just the same.
-  if (slot.to_wr >= 0) {
-    unregister_pool_fd(slot.to_wr);
-    ::close(slot.to_wr);
-  }
-  if (slot.from_rd >= 0) {
-    unregister_pool_fd(slot.from_rd);
-    ::close(slot.from_rd);
-  }
-  slot.to_wr = -1;
-  slot.from_rd = -1;
+  close_fd(slot.to_wr);
+  close_fd(slot.from_rd);
   reap(slot.pid);
   slot.pid = -1;
   slot.alive = false;
@@ -164,6 +122,14 @@ void WarmPool::retire_slot(std::size_t idx) {
 WarmPool::Stats WarmPool::stats() const {
   par::MutexLock lock(mu_);
   return stats_;
+}
+
+void WarmPool::set_fork_for_testing(std::function<pid_t()> fork_fn) {
+  par::MutexLock lock(mu_);
+  fork_fn_ = std::move(fork_fn);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (!slots_[i].busy) retire_slot(i);
+  }
 }
 
 std::size_t WarmPool::live_workers() const {
@@ -208,7 +174,8 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
       for (const Slot& s : slots_) any_pending |= s.busy;
       if (!any_pending) {
         // Every slot is dead and none could be respawned: the machine is
-        // out of processes. Same classified outcome as a cold fork failure.
+        // out of processes or descriptors right now. No worker ran, so
+        // nothing was refuted — kForkFailure is retried with backoff.
         run.exit = WorkerExit::kForkFailure;
         run.detail = "warm pool: no slot could be (re)spawned";
         return run;
@@ -241,9 +208,8 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
   bool watchdog_fired = false;
   bool stream_broke = sent != WireStatus::kOk;
 
-  // The pump. Identical to the cold pool's except for the terminator: a
-  // decoded result frame ends the JOB, not the worker — the child loops
-  // back to read the next request and the slot stays warm.
+  // The pump. A decoded result frame ends the JOB, not the worker — the
+  // child loops back to read the next request and the slot stays warm.
   while (!run.has_result && !stream_broke) {
     FrameType type = FrameType::kResult;
     std::string payload;
@@ -323,16 +289,8 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
     // hang; for a worker that is already dead the kill is a no-op on the
     // zombie. Then reap, classify with the shared table, respawn.
     ::kill(pid, SIGKILL);
-    if (slot.to_wr >= 0) {
-      unregister_pool_fd(slot.to_wr);
-      ::close(slot.to_wr);
-    }
-    if (slot.from_rd >= 0) {
-      unregister_pool_fd(slot.from_rd);
-      ::close(slot.from_rd);
-    }
-    slot.to_wr = -1;
-    slot.from_rd = -1;
+    close_fd(slot.to_wr);
+    close_fd(slot.from_rd);
     const int status = reap(pid);
     slot.pid = -1;
     slot.alive = false;

@@ -1,16 +1,13 @@
 #pragma once
-// WarmPool: a persistent, pre-forked worker pool — the serving layer's
-// answer to the fork+pipe tax the cold WorkerPool pays on every attempt.
+// WarmPool: the persistent, pre-forked, rlimit-sandboxed worker pool — the
+// containment boundary of the serve/ layer.
 //
-// Each slot is a long-lived sandboxed child running worker_loop_main: the
-// same PFRM conversation as a cold worker, repeated — one request frame in,
-// checkpoint frames plus one result frame out, then the child blocks on the
-// next request. Leasing a warm slot therefore costs two frame writes, not a
-// fork; the ~65 µs/lifetime process bill (EXPERIMENTS.md, PR 5) is paid
-// once per recycle instead of once per attempt.
-//
-// The containment contract is unchanged from WorkerPool — and it has to be,
-// because a warm worker accumulates state a one-shot worker cannot:
+// Each slot is a long-lived child running worker_loop_main: one request
+// frame in, checkpoint frames (each envelope-verified before it is filed —
+// a crash can only hand back state that hashes) plus one result frame out,
+// then the child blocks on the next request. Leasing a warm slot therefore
+// costs two frame writes, not a fork; the process bill is paid once per
+// recycle instead of once per attempt. The containment rules:
 //
 //   * recycling: a slot is retired (request pipe closed -> child sees a
 //     clean EOF -> exit 0 -> reap -> respawn) after `recycle_after` jobs,
@@ -19,13 +16,15 @@
 //     never be raised, so a sandboxed job would otherwise poison the budget
 //     of every job after it.
 //   * death: any WorkerExit other than clean completion reaps the slot,
-//     classifies it with the same classify_wait_status table as the cold
-//     pool, and respawns a fresh child — the auto-respawn the soak
-//     harness's kill campaigns assert.
-//   * isolation between slots: a freshly forked child closes every OTHER
-//     slot's parent-side pipe ends before entering its loop. Without this,
-//     a sibling holding a duplicate write end would keep a retired slot's
-//     request pipe open and its child would never see the retirement EOF.
+//     classifies it with classify_wait_status (worker_pool.h), and
+//     respawns a fresh child — the auto-respawn the soak harness's kill
+//     campaigns assert. A slot that cannot be (re)spawned is kForkFailure.
+//   * isolation: a freshly forked child keeps stdio and its own two pipe
+//     ends and closes every other descriptor (close_fds_except, worker.h)
+//     before entering its loop. Without this, a child holding a duplicate
+//     of a sibling slot's — or another pool's — request-pipe write end
+//     would keep that pipe open, and its worker would never see the
+//     retirement EOF.
 //
 // Thread-safety: run_task may be called from many supervisor/dispatcher
 // threads; slot acquisition blocks on a condition variable until a slot is
@@ -38,6 +37,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <sys/types.h>
 #include <vector>
 
@@ -52,22 +52,25 @@ struct WarmPoolOptions {
   std::size_t recycle_after = 32; // planned retirement after N jobs; 0 = never
 };
 
-class WarmPool : public JobRunner {
+class WarmPool {
  public:
   explicit WarmPool(WarmPoolOptions options = {});
-  ~WarmPool() override;  // retires every slot (EOF) and reaps the children
+  ~WarmPool();  // retires every slot (EOF) and reaps the children
 
   WarmPool(const WarmPool&) = delete;
   WarmPool& operator=(const WarmPool&) = delete;
 
   // Leases a warm slot (blocking until one is free), ships `request`, pumps
-  // checkpoint/result frames exactly like WorkerPool::run_task, and returns
-  // the slot to the pool — recycled or respawned per the rules above. A
-  // slot that cannot be (re)spawned reports WorkerExit::kForkFailure.
+  // its checkpoint frames into `store` (nullptr discards them) until the
+  // result frame or death, and returns the slot to the pool — recycled or
+  // respawned per the rules above. `watchdog` > 0 arms a wall-clock
+  // deadline: a worker still running then is SIGKILLed and reported
+  // kWatchdog. A slot that cannot be (re)spawned reports kForkFailure — a
+  // transient resource-exhaustion diagnostic for the retry table.
   WorkerRun run_task(const TaskRequest& request,
                      robustness::CheckpointStore* store,
                      std::chrono::milliseconds watchdog =
-                         std::chrono::milliseconds{0}) override;
+                         std::chrono::milliseconds{0});
 
   struct Stats {
     std::uint64_t spawned = 0;    // children forked over the pool's lifetime
@@ -81,6 +84,12 @@ class WarmPool : public JobRunner {
 
   // Number of currently live (forked, unreaped) warm children.
   std::size_t live_workers() const;
+
+  // Test seam: replaces ::fork() in every later spawn so fork exhaustion
+  // (pid < 0) is producible on demand — the real condition needs a
+  // pid-starved machine. Idle slots are retired on install, so the next
+  // lease respawns through the seam. Not for production use.
+  void set_fork_for_testing(std::function<pid_t()> fork_fn);
 
  private:
   struct Slot {
@@ -100,6 +109,7 @@ class WarmPool : public JobRunner {
   std::condition_variable slot_free_;
   std::vector<Slot> slots_ PFACT_GUARDED_BY(mu_);
   Stats stats_ PFACT_GUARDED_BY(mu_);
+  std::function<pid_t()> fork_fn_ PFACT_GUARDED_BY(mu_);
 };
 
 }  // namespace pfact::serve

@@ -2,11 +2,13 @@
 
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "robustness/checkpoint.h"
 #include "robustness/escalation.h"
@@ -65,8 +67,7 @@ void apply_rlimits(const WorkerLimits& limits) {
 }
 
 // One guarded job: sandbox, (maybe) die on schedule, run, ship the result.
-// Shared by the one-shot worker_main and the warm worker_loop_main; returns
-// the process exit code contribution (0 = result frame delivered).
+// Returns the process exit code contribution (0 = result frame delivered).
 int run_one_request(TaskRequest req, int response_fd) {
   apply_rlimits(req.rlimits);
 
@@ -114,26 +115,25 @@ int run_one_request(TaskRequest req, int response_fd) {
   return 0;
 }
 
+// Closes [lo, hi]; an empty range is a no-op.
+void close_fd_range(unsigned lo, unsigned hi) {
+  if (lo > hi) return;
+#if defined(__linux__) && defined(SYS_close_range)
+  if (::syscall(SYS_close_range, lo, hi, 0u) == 0) return;
+#endif
+  const long max_fd = ::sysconf(_SC_OPEN_MAX);
+  const unsigned limit = max_fd > 0 ? static_cast<unsigned>(max_fd) : 1024u;
+  for (unsigned fd = lo; fd <= hi && fd < limit; ++fd) {
+    ::close(static_cast<int>(fd));
+  }
+}
+
 }  // namespace
 
-int worker_main(int request_fd, int response_fd) {
+int worker_loop_main(int request_fd, int response_fd) {
   // The supervisor may die first; a SIGPIPE on the response pipe must
   // surface as a write error, not kill the worker with an unclassifiable
   // signal.
-  ::signal(SIGPIPE, SIG_IGN);
-
-  FrameType type = FrameType::kRequest;
-  std::string payload;
-  if (read_frame(request_fd, type, payload) != WireStatus::kOk ||
-      type != FrameType::kRequest) {
-    return kWorkerExitBadRequestFrame;
-  }
-  TaskRequest req;
-  if (!decode_request(payload, req)) return kWorkerExitBadRequestBody;
-  return run_one_request(std::move(req), response_fd);
-}
-
-int worker_loop_main(int request_fd, int response_fd) {
   ::signal(SIGPIPE, SIG_IGN);
 
   for (;;) {
@@ -151,6 +151,17 @@ int worker_loop_main(int request_fd, int response_fd) {
     const int rc = run_one_request(std::move(req), response_fd);
     if (rc != 0) return rc;
   }
+}
+
+void close_fds_except(int keep_a, int keep_b) {
+  if (keep_a > keep_b) std::swap(keep_a, keep_b);
+  unsigned lo = 3;  // stdio stays
+  for (const int keep : {keep_a, keep_b}) {
+    if (keep < static_cast<int>(lo)) continue;
+    close_fd_range(lo, static_cast<unsigned>(keep) - 1);
+    lo = static_cast<unsigned>(keep) + 1;
+  }
+  close_fd_range(lo, ~0u);
 }
 
 }  // namespace pfact::serve

@@ -1,62 +1,12 @@
 #include "serve/worker_pool.h"
 
-#include <errno.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
-#include <utility>
-
-#include "obs/counters.h"
-#include "obs/trace.h"
-#include "serve/worker.h"
+#include <string>
 
 namespace pfact::serve {
-
-namespace {
-
-struct Pipe {
-  int rd = -1;
-  int wr = -1;
-
-  bool open() {
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    rd = fds[0];
-    wr = fds[1];
-    // Close-on-exec is hygiene, not correctness (workers fork, never exec),
-    // but it keeps pipe fds from leaking into anything a test might spawn.
-    ::fcntl(rd, F_SETFD, FD_CLOEXEC);
-    ::fcntl(wr, F_SETFD, FD_CLOEXEC);
-    return true;
-  }
-  void close_rd() {
-    if (rd >= 0) ::close(rd);
-    rd = -1;
-  }
-  void close_wr() {
-    if (wr >= 0) ::close(wr);
-    wr = -1;
-  }
-  ~Pipe() {
-    close_rd();
-    close_wr();
-  }
-};
-
-// Reaps the child, blocking until it is gone. The worker is either already
-// dead (EOF seen) or SIGKILLed (watchdog), so this cannot hang.
-int reap(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  return status;
-}
-
-}  // namespace
 
 void classify_wait_status(int status, bool watchdog_fired,
                           std::chrono::milliseconds watchdog, WorkerRun& run) {
@@ -93,166 +43,6 @@ void classify_wait_status(int status, bool watchdog_fired,
     run.exit = WorkerExit::kProtocolError;
     run.detail = "unrecognized waitpid status " + std::to_string(status);
   }
-}
-
-WorkerPool::WorkerPool() {
-  // A worker killed between our write() calls turns the request pipe into a
-  // broken pipe; the supervisor must see EPIPE, not die of SIGPIPE.
-  ::signal(SIGPIPE, SIG_IGN);
-}
-
-void WorkerPool::register_worker(pid_t pid) {
-  par::MutexLock lock(mu_);
-  live_.push_back(pid);
-  ++stats_.spawned;
-}
-
-void WorkerPool::finish_worker(pid_t pid, WorkerExit exit) {
-  par::MutexLock lock(mu_);
-  live_.erase(std::remove(live_.begin(), live_.end(), pid), live_.end());
-  if (exit == WorkerExit::kCompleted) {
-    ++stats_.completed;
-  } else {
-    ++stats_.crashed;
-  }
-  if (exit == WorkerExit::kWatchdog) ++stats_.watchdog_kills;
-}
-
-WorkerPool::Stats WorkerPool::stats() const {
-  par::MutexLock lock(mu_);
-  return stats_;
-}
-
-std::size_t WorkerPool::live_workers() const {
-  par::MutexLock lock(mu_);
-  return live_.size();
-}
-
-void WorkerPool::set_fork_for_testing(std::function<pid_t()> fork_fn) {
-  fork_fn_ = std::move(fork_fn);
-}
-
-WorkerRun WorkerPool::run_task(const TaskRequest& request,
-                               robustness::CheckpointStore* store,
-                               std::chrono::milliseconds watchdog) {
-  PFACT_SPAN("serve.worker");
-  WorkerRun run;
-
-  Pipe to_worker;    // supervisor writes requests
-  Pipe from_worker;  // worker writes checkpoints + result
-  if (!to_worker.open() || !from_worker.open()) {
-    // Same resource family as a failed fork: fd exhaustion, and just as
-    // transient — classify, count, let the retry table back off.
-    run.exit = WorkerExit::kForkFailure;
-    run.detail = "pipe() failed: cannot launch a worker";
-    PFACT_COUNT(kServeForkFailures);
-    return run;
-  }
-
-  const pid_t pid = fork_fn_ ? fork_fn_() : ::fork();
-  if (pid < 0) {
-    // EAGAIN/ENOMEM: the machine is out of processes or memory RIGHT NOW.
-    // kForkFailure maps to kResourceExhausted — transient, retried with
-    // backoff — because no worker ever ran, so nothing was refuted.
-    run.exit = WorkerExit::kForkFailure;
-    run.detail = "fork() failed: cannot launch a worker";
-    PFACT_COUNT(kServeForkFailures);
-    return run;
-  }
-  if (pid == 0) {
-    // Child. Only async-signal-safe-ish setup here, then worker_main; the
-    // guarded drivers are single-threaded, so the child never waits on
-    // pool threads it did not inherit.
-    to_worker.close_wr();
-    from_worker.close_rd();
-    ::_exit(worker_main(to_worker.rd, from_worker.wr));
-  }
-
-  // Parent.
-  register_worker(pid);
-  PFACT_COUNT(kWorkerSpawns);
-  to_worker.close_rd();
-  from_worker.close_wr();
-
-  // Ship the request AFTER the fork: large requests (dense resume blobs)
-  // exceed the 64KB pipe buffer, and a pre-fork write would deadlock
-  // against a reader that does not exist yet. The child reads immediately;
-  // if it dies first, SIG_IGN'd SIGPIPE turns the stall into EPIPE.
-  const WireStatus sent = write_frame(to_worker.wr, FrameType::kRequest,
-                                     encode_request(request));
-  if (sent != WireStatus::kOk) {
-    run.detail = std::string("request write failed: ") +
-                 wire_status_name(sent);
-    // Fall through: the read loop below sees EOF and waitpid classifies
-    // whatever the worker did in the meantime.
-  }
-  to_worker.close_wr();  // the worker's request stream is complete
-
-  auto deadline = watchdog.count() > 0
-                      ? std::chrono::steady_clock::now() + watchdog
-                      : std::chrono::steady_clock::time_point{};
-  bool watchdog_fired = false;
-
-  for (;;) {
-    FrameType type = FrameType::kResult;
-    std::string payload;
-    const WireStatus st = read_frame(from_worker.rd, type, payload, deadline);
-    if (st == WireStatus::kTimeout) {
-      // The watchdog: the worker overran its wall-clock budget. SIGKILL is
-      // deliberate — a wedged worker may not honor anything gentler — and
-      // the loop keeps draining so frames already in flight are not lost.
-      watchdog_fired = true;
-      ::kill(pid, SIGKILL);
-      PFACT_COUNT(kWorkerWatchdogKills);
-      // Drop the (now expired) deadline: the worker is dead, so the drain
-      // below terminates at EOF — re-polling against the past would spin.
-      deadline = std::chrono::steady_clock::time_point{};
-      continue;
-    }
-    if (st == WireStatus::kEof) break;  // worker closed its end (or died)
-    if (st != WireStatus::kOk) {
-      // Torn/corrupt frame: the worker died mid-write or the stream
-      // desynchronized. Nothing after this point can be trusted.
-      if (run.detail.empty()) {
-        run.detail = std::string("response stream broke: ") +
-                     wire_status_name(st);
-      }
-      break;
-    }
-    if (type == FrameType::kCheckpoint) {
-      std::uint64_t step = 0;
-      std::string blob;
-      if (decode_checkpoint_frame(payload, step, blob) &&
-          robustness::validate_checkpoint_envelope(blob) ==
-              robustness::CheckpointStatus::kOk) {
-        ++run.checkpoints_received;
-        if (store != nullptr) store->put(step, std::move(blob));
-      } else {
-        // A blob that does not hash is never filed — the fault injector's
-        // torn writes (and real torn pipe writes) stop here.
-        ++run.checkpoints_rejected;
-        PFACT_COUNT(kCheckpointRejects);
-      }
-    } else if (type == FrameType::kResult) {
-      if (decode_result(payload, run.result)) {
-        run.has_result = true;
-      } else if (run.detail.empty()) {
-        run.detail = "result frame did not decode";
-      }
-      // The result is the conversation's last frame; drain to EOF anyway so
-      // the child's write end closes before we reap.
-    } else if (run.detail.empty()) {
-      run.detail = "unexpected frame type from worker";
-    }
-  }
-  from_worker.close_rd();
-
-  const int status = reap(pid);
-  classify_wait_status(status, watchdog_fired, watchdog, run);
-
-  if (run.exit != WorkerExit::kCompleted) PFACT_COUNT(kWorkerCrashes);
-  finish_worker(pid, run.exit);
-  return run;
 }
 
 }  // namespace pfact::serve

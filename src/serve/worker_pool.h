@@ -1,30 +1,18 @@
 #pragma once
-// WorkerPool: forks rlimit-sandboxed worker subprocesses and pumps their
-// pipes — the containment boundary of the serve/ layer.
+// How a sandboxed worker process ended: the WorkerExit taxonomy, the
+// WorkerRun record one job produces, and the waitpid classification table
+// behind both.
 //
-// One run_task call is one worker lifetime: fork, ship the TaskRequest,
-// collect checkpoint frames into the caller's CheckpointStore (each blob
-// envelope-verified before it is filed — a crash can only hand back state
-// that hashes), read the result frame, reap, classify. The classification
-// is WorkerExit — the pool's own taxonomy of HOW the process ended, which
-// the Supervisor then maps into the robustness Diagnostic taxonomy
+// The classification is the pool's own taxonomy of HOW the process ended,
+// which the supervisor then maps into the robustness Diagnostic taxonomy
 // (diagnose_worker_exit in supervisor.h). Keeping the two taxonomies
 // separate keeps waitpid plumbing out of the retry/escalation logic.
-//
-// Thread-safety: run_task is safe to call from multiple supervisor threads;
-// the job table (live pids + lifetime stats) is guarded by an annotated
-// mutex. The forked child itself never touches the table — between fork and
-// _exit it runs only worker_main, which is single-threaded by contract.
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <string>
-#include <sys/types.h>
 #include <vector>
 
-#include "parallel/annotations.h"
-#include "robustness/checkpoint.h"
 #include "robustness/diagnostics.h"
 #include "serve/wire.h"
 
@@ -71,8 +59,8 @@ inline const std::vector<WorkerExit>& all_worker_exits() {
 }
 
 // Classifies a reaped waitpid status into run.exit / exit_code /
-// term_signal / detail. Shared by the cold pool below and the warm pool
-// (warm_pool.h) so the two agree on what every death means. `watchdog` is
+// term_signal / detail — the one table behind every WorkerExit the pool
+// (warm_pool.h) reports. `watchdog` is
 // the armed deadline (for the detail string); `watchdog_fired` wins over
 // the raw status because the SIGKILL it delivered is the supervisor's own.
 struct WorkerRun;
@@ -89,69 +77,6 @@ struct WorkerRun {
   std::size_t checkpoints_received = 0;  // envelope-verified, filed
   std::size_t checkpoints_rejected = 0;  // failed the envelope check
   std::string detail;  // human-readable death/protocol description
-};
-
-// Anything that can execute one TaskRequest in a sandboxed worker and
-// classify how it ended. The supervisor's retry/escalation loop is written
-// against this seam, so the cold one-fork-per-attempt pool and the warm
-// pre-forked pool (warm_pool.h) are interchangeable underneath it.
-class JobRunner {
- public:
-  virtual ~JobRunner() = default;
-
-  // Runs `request` to a result frame or a classified death. Checkpoint
-  // frames whose PFCK envelope verifies are filed into `store` (nullptr
-  // discards them). `watchdog` > 0 arms a wall-clock deadline: a worker
-  // still alive then is SIGKILLed and reported kWatchdog. Blocking;
-  // thread-safe.
-  virtual WorkerRun run_task(const TaskRequest& request,
-                             robustness::CheckpointStore* store,
-                             std::chrono::milliseconds watchdog =
-                                 std::chrono::milliseconds{0}) = 0;
-};
-
-class WorkerPool : public JobRunner {
- public:
-  WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  // Forks a worker, ships `request`, pumps its response pipe until the
-  // result frame or death, reaps, classifies. A fork() that fails outright
-  // is kForkFailure — a transient resource-exhaustion diagnostic for the
-  // retry table, not a bare error string.
-  WorkerRun run_task(const TaskRequest& request,
-                     robustness::CheckpointStore* store,
-                     std::chrono::milliseconds watchdog =
-                         std::chrono::milliseconds{0}) override;
-
-  // Lifetime totals of this pool (the job table's aggregate view).
-  struct Stats {
-    std::uint64_t spawned = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t crashed = 0;  // any non-kCompleted ending
-    std::uint64_t watchdog_kills = 0;
-  };
-  Stats stats() const;
-
-  // Number of workers currently forked-but-unreaped (observable from other
-  // threads; run_task itself always reaps before returning).
-  std::size_t live_workers() const;
-
-  // Test seam: replaces ::fork() so fork exhaustion (pid < 0) is producible
-  // on demand — the real condition needs a pid-starved machine. Not for
-  // production use.
-  void set_fork_for_testing(std::function<pid_t()> fork_fn);
-
- private:
-  void register_worker(pid_t pid);
-  void finish_worker(pid_t pid, WorkerExit exit);
-
-  mutable par::Mutex mu_;
-  std::vector<pid_t> live_ PFACT_GUARDED_BY(mu_);
-  Stats stats_ PFACT_GUARDED_BY(mu_);
-  std::function<pid_t()> fork_fn_;  // set once, before any run_task call
 };
 
 }  // namespace pfact::serve

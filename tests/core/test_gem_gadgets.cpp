@@ -23,6 +23,11 @@ struct StrategyCase {
   const char* name;
 };
 
+// Without this gtest prints the raw object bytes (padding and the `name`
+// pointer), which change from build to build and leak into the test names
+// that gtest_discover_tests registers with ctest.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
 class GadgetTest : public ::testing::TestWithParam<StrategyCase> {
  protected:
   // Eliminates all columns, asserting carriers stay in place.

@@ -17,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/depth_model.h"
@@ -29,6 +32,7 @@
 #include "factor/givens.h"
 #include "matrix/generators.h"
 #include "matrix/matrix.h"
+#include "nc/bareiss.h"
 #include "nc/lfmis.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -112,6 +116,31 @@ TEST(MetricsTheory, PrefixRankQueriesAreIndependentAndOverlap) {
   ASSERT_EQ(rank_spans.size(), a.rows());
   if (par::ThreadPool::global().size() >= 2) {
     // The queries coexist in time: measured critical path < query count.
+    // The first and last query rendezvous, each waiting for the other, so
+    // two are provably in flight at once — which only independent queries
+    // allow, and which holds on a time-sliced core as well as on many. The
+    // wait is bounded: queries that cannot overlap fail, never hang.
+    obs::clear_spans();
+    std::atomic<int> arrived{0};
+    const std::size_t last = a.rows() - 1;
+    const std::vector<std::size_t> latched = nc::prefix_row_ranks(
+        a, [&](std::size_t i, const Matrix<numeric::Rational>& prefix) {
+          if (i == 0 || i == last) {
+            arrived.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (arrived.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+              std::this_thread::yield();
+          }
+          return nc::rank_exact(prefix);
+        });
+    EXPECT_EQ(latched, ranks);
+    rank_spans.clear();
+    for (const obs::SpanEvent& s : obs::dump_spans()) {
+      if (std::string(s.name) == "lfmis.rank") rank_spans.push_back(s);
+    }
+    ASSERT_EQ(rank_spans.size(), a.rows());
     EXPECT_LT(obs::critical_path_depth(rank_spans), rank_spans.size());
   }
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "circuit/builders.h"
 #include "core/simulator.h"
@@ -116,16 +119,27 @@ TEST(Spans, GemEliminationSpansFormAPureChain) {
 }
 
 // Pool chunks overlap: with >= 2 workers the chunk spans of one
-// parallel_for must NOT form a pure chain.
+// parallel_for must NOT form a pure chain. The first and last index (always
+// in different chunks) rendezvous, each waiting for the other, so two
+// chunks are provably in flight at once — a worker blocked there yields to
+// a sibling, which holds on a time-sliced core as well as on many. The wait
+// is bounded: a pool that cannot overlap fails the EXPECT, it never hangs.
 TEST(Spans, PoolChunksOverlapWhenWorkersAreAvailable) {
   if (!kObsOn) GTEST_SKIP() << "observability compiled out";
   if (par::ThreadPool::global().size() < 2) {
-    GTEST_SKIP() << "single hardware thread";
+    GTEST_SKIP() << "single pool worker";
   }
   ScopedTracing tracing;
-  // Enough per-index work that chunks genuinely coexist.
+  std::atomic<int> arrived{0};
   std::atomic<std::uint64_t> sink{0};
   par::parallel_for(0, 64, [&](std::size_t i) {
+    if (i == 0 || i == 63) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    }
     std::uint64_t acc = i;
     for (int k = 0; k < 20000; ++k) acc = acc * 2862933555777941757ULL + 3037;
     sink += acc;

@@ -62,6 +62,20 @@ class StormDisposition {
   struct sigaction old_ {};
 };
 
+// Blocks until the signal counter moves past `before` — the storm's first
+// delivery — or ten seconds pass. Under a loaded scheduler the storm
+// thread may not run at all before a short workload finishes, so a test
+// that must run UNDER the storm synchronizes on it first.
+bool wait_for_delivery(std::uint64_t before) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (g_signals.load() == before) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
 // Fires SIGUSR1 at a target thread (and, optionally, the whole process so
 // the frontend's own poll loop catches strays too) every ~200us until
 // stopped.
@@ -162,6 +176,7 @@ TEST(EintrRegression, ClientSubmitIsNotMisclassifiedUnderStorm) {
     // Storm both the submitting thread and the whole process, so the
     // frontend's poll loop and the dispatcher threads take strays too.
     SignalStorm storm(pthread_self(), /*process_wide=*/true);
+    ASSERT_TRUE(wait_for_delivery(before)) << "the storm never started";
     for (int i = 0; i < 8; ++i) {
       Client client(co);
       const ClientResult res = client.submit(task);

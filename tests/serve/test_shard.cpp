@@ -191,6 +191,38 @@ TEST(ShardRouterTest, RoutesToHomeShardAndHitsItsCache) {
   EXPECT_EQ(st.status(RouterStatus::kRouted), 2u);
 }
 
+// Regression: a router forked while another service's warm pool lives in
+// the same process. The shard inherits that pool's pipe ends, and every
+// worker the shard forks must still own its request pipe afterwards — a
+// worker that lost it exits with kWorkerExitBadRequestFrame while the
+// shard keeps acking probes (a gray failure). Fresh keys make each submit
+// a real warm-worker job inside the shard, so every answer must certify.
+TEST(ShardRouterTest, CoHostedServiceLeavesShardWorkersComputing) {
+  ServiceOptions neighbour_options;
+  neighbour_options.dispatchers = 1;
+  neighbour_options.pool.workers = 2;
+  ReductionService neighbour(neighbour_options);
+
+  ShardRouter router(small_router(1));
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
+  for (unsigned mask = 0; mask < 8; ++mask) {
+    const ReductionTask task = parity_task(4, mask);
+    const RouteResult r = router.submit(task);
+    ASSERT_EQ(r.status, RouterStatus::kRouted) << "mask=" << mask;
+    EXPECT_FALSE(r.response.from_cache) << "mask=" << mask;
+    EXPECT_TRUE(r.response.certified)
+        << "mask=" << mask << ": "
+        << robustness::diagnostic_name(r.response.report.diagnostic) << " "
+        << r.response.report.detail;
+    EXPECT_EQ(r.response.value, task.expected()) << "mask=" << mask;
+  }
+  // The neighbour is unharmed by the shard's forks, too.
+  const ReductionTask own = gem_xor_task(false, true);
+  const ServiceResponse mine = neighbour.submit(own)->wait();
+  EXPECT_TRUE(mine.report.certified) << mine.report.to_string();
+  EXPECT_EQ(mine.report.value, own.expected());
+}
+
 TEST(ShardRouterTest, HomeShardIsDeterministicAndSpread) {
   ShardRouter router(small_router(3));
   // Deterministic: same task, same home, every time.

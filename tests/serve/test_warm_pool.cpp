@@ -1,9 +1,13 @@
-// WarmPool lifecycle tests: pre-forked workers that live across jobs. The
-// contracts under test are the ones that distinguish a warm pool from the
-// cold one-fork-per-attempt WorkerPool: slots serve many jobs without
-// reforking, planned retirement (quota or sandbox taint) replaces a slot
-// through a clean EOF, and every real death — SIGKILL, genuine SIGSEGV,
-// watchdog — is classified with the shared taxonomy AND auto-respawned.
+// Worker pool lifecycle tests: real forked workers, real deaths. Every
+// WorkerExit class the pool can report is produced here by actually ending
+// a worker that way — SIGKILL, a genuine wild store, a nonzero _exit, a
+// spinning worker caught by the watchdog, RLIMIT_CPU's SIGXCPU, and a fork
+// refused through the test seam — and each death leaves the supervisor
+// process fully intact. The WorkerPool suite pins that containment
+// contract job by job on a single slot; the WarmPool suite pins what being
+// pre-forked adds: slots serve many jobs without reforking, planned
+// retirement (quota or sandbox taint) replaces a slot through a clean EOF,
+// and every real death is auto-respawned.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -38,6 +42,149 @@ TaskRequest gem_request() {
   return req;
 }
 
+WarmPoolOptions one_slot() {
+  WarmPoolOptions o;
+  o.workers = 1;
+  return o;
+}
+
+TEST(WorkerPool, CompletedWorkerDeliversACertifiedResult) {
+  WarmPool pool(one_slot());
+  const TaskRequest req = gem_request();
+  const WorkerRun run = pool.run_task(req, nullptr);
+  ASSERT_EQ(run.exit, WorkerExit::kCompleted) << run.detail;
+  ASSERT_TRUE(run.has_result);
+  EXPECT_EQ(run.result.diagnostic, Diagnostic::kOk) << run.result.detail;
+  EXPECT_EQ(run.result.value, req.task.expected());
+  EXPECT_EQ(pool.stats().completed, 1u);
+  EXPECT_EQ(pool.stats().crashed, 0u);
+  EXPECT_EQ(pool.live_workers(), 1u);  // the slot stays warm for the next job
+}
+
+TEST(WorkerPool, SigkilledWorkerIsClassifiedSignalled) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kSigkill;
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kSignalled) << run.detail;
+  EXPECT_EQ(run.term_signal, SIGKILL);
+  EXPECT_FALSE(run.has_result);
+  EXPECT_EQ(pool.stats().crashed, 1u);
+}
+
+TEST(WorkerPool, SegfaultingWorkerIsContained) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kSigsegv;
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kSignalled) << run.detail;
+  EXPECT_EQ(run.term_signal, SIGSEGV);
+  EXPECT_FALSE(run.has_result);
+  // The whole point: the SIGSEGV happened, and THIS process is still here.
+}
+
+TEST(WorkerPool, NonzeroExitIsItsOwnClass) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kExit;
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kNonzeroExit) << run.detail;
+  EXPECT_EQ(run.exit_code, kKillPlanExitCode);
+}
+
+TEST(WorkerPool, WatchdogKillsAWedgedWorker) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kSpin;  // never returns on its own
+  const auto t0 = std::chrono::steady_clock::now();
+  const WorkerRun run =
+      pool.run_task(req, nullptr, std::chrono::milliseconds(200));
+  EXPECT_EQ(run.exit, WorkerExit::kWatchdog) << run.detail;
+  EXPECT_EQ(run.term_signal, SIGKILL);
+  EXPECT_EQ(pool.stats().watchdog_kills, 1u);
+  // The watchdog bounded the wait: well under the forever the spin wanted.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+}
+
+TEST(WorkerPool, CpuRlimitSurfacesAsCpuLimit) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kSpin;
+  req.rlimits.cpu_seconds = 1;  // the sandbox, not the watchdog, ends this
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kCpuLimit) << run.detail;
+  EXPECT_EQ(run.term_signal, SIGXCPU);
+}
+
+TEST(WorkerPool, CheckpointFramesAreVerifiedAndFiled) {
+  WarmPool pool(one_slot());
+  TaskRequest req = gem_request();
+  req.checkpoint_every = 2;
+  req.kill.mode = KillPlan::Mode::kSigkill;
+  req.kill.after_saves = 2;  // die right after shipping the second save
+  CheckpointStore store;
+  const WorkerRun run = pool.run_task(req, &store);
+  EXPECT_EQ(run.exit, WorkerExit::kSignalled) << run.detail;
+  EXPECT_EQ(run.checkpoints_received, 2u);
+  EXPECT_EQ(run.checkpoints_rejected, 0u);
+  EXPECT_EQ(store.size(), 2u);
+  // Saves land at multiples of the cadence; the newest is save #2.
+  EXPECT_EQ(store.latest_step(), 4u);
+}
+
+TEST(WorkerPool, EveryExitClassHasAPrintableName) {
+  for (WorkerExit e : all_worker_exits()) {
+    EXPECT_STRNE(worker_exit_name(e), "?");
+  }
+  EXPECT_EQ(all_worker_exits().size(), 7u);
+}
+
+// fork() exhaustion (EAGAIN on a pid-starved machine) is not producible on
+// demand, so the pool's fork seam injects it: the outcome must be the
+// classified kForkFailure — a transient resource-exhaustion diagnostic the
+// retry table backs off on — never a bare error string, and never a
+// phantom worker in the stats.
+TEST(WorkerPool, ForkFailureIsClassifiedAndRetryable) {
+  WarmPool pool(one_slot());
+  pool.set_fork_for_testing([] { return static_cast<pid_t>(-1); });
+  const WorkerRun run = pool.run_task(gem_request(), nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kForkFailure) << run.detail;
+  EXPECT_FALSE(run.has_result);
+  // Only the slot pre-forked before the seam: none spawned through it.
+  EXPECT_EQ(pool.stats().spawned, 1u);
+  EXPECT_EQ(pool.live_workers(), 0u);
+  EXPECT_EQ(diagnose_worker_exit(run.exit),
+            Diagnostic::kResourceExhausted);
+  EXPECT_EQ(robustness::classify_diagnostic(
+                diagnose_worker_exit(run.exit)),
+            robustness::FailureKind::kTransient);
+}
+
+// The supervisor retries through injected fork failures: two refused forks
+// followed by a healthy one still certify, with both refusals classified
+// in the attempt log.
+TEST(WorkerPool, SupervisorRetriesThroughForkFailures) {
+  WarmPool pool(one_slot());
+  int failures_left = 2;
+  pool.set_fork_for_testing([&failures_left]() -> pid_t {
+    if (failures_left > 0) {
+      --failures_left;
+      return -1;
+    }
+    return ::fork();
+  });
+  const TaskRequest req = gem_request();
+  SupervisorOptions options;
+  options.retry.max_attempts = 3;
+  const SupervisedReport rep = supervised_run(pool, req.task, options);
+  ASSERT_TRUE(rep.certified) << rep.to_string();
+  EXPECT_EQ(rep.value, req.task.expected());
+  ASSERT_EQ(rep.attempts.size(), 3u);
+  EXPECT_EQ(rep.attempts[0].diagnostic, Diagnostic::kResourceExhausted);
+  EXPECT_EQ(rep.attempts[1].diagnostic, Diagnostic::kResourceExhausted);
+  EXPECT_EQ(rep.attempts[2].diagnostic, Diagnostic::kOk);
+}
+
 TEST(WarmPool, PreforksItsSlotsAndServesAJob) {
   WarmPoolOptions o;
   o.workers = 2;
@@ -51,8 +198,7 @@ TEST(WarmPool, PreforksItsSlotsAndServesAJob) {
   EXPECT_EQ(run.result.value, req.task.expected());
 }
 
-// The defining property: many jobs, zero additional forks. A cold pool
-// would have spawned once per job.
+// The defining property: many jobs, zero additional forks.
 TEST(WarmPool, WarmSlotsServeManyJobsWithoutReforking) {
   WarmPoolOptions o;
   o.workers = 2;
@@ -214,9 +360,9 @@ TEST(WarmPool, SupervisedRunResumesAcrossWarmWorkerDeaths) {
 // Two pools in one process must not entangle: pool B's children are forked
 // while pool A's request pipes are open, and an inherited duplicate of A's
 // write ends would keep A's workers from ever seeing their retirement EOF —
-// destroying A would then block forever in reap. The process-wide fd
-// registry closes every other pool's parent-side fds inside each fresh
-// child, so teardown stays prompt no matter the construction order.
+// destroying A would then block forever in reap. Each fresh child closes
+// every descriptor but stdio and its own two pipe ends, so teardown stays
+// prompt no matter the construction order.
 TEST(WarmPool, CoexistingPoolsTearDownWithoutEntanglement) {
   const auto t0 = std::chrono::steady_clock::now();
   auto first = std::make_unique<WarmPool>(WarmPoolOptions{});

@@ -30,8 +30,9 @@
 //                  uninterrupted baseline.
 //
 // With --kill-only the soak switches to REAL-kill campaigns through the
-// serve/ process-isolation layer: every attempt runs in a forked,
-// rlimit-sandboxed worker that is actually destroyed — SIGKILL, a genuine
+// serve/ process-isolation layer: every attempt runs in an rlimit-sandboxed
+// worker leased from a one-slot WarmPool, and the victim is actually
+// destroyed (the kill plan also retires its slot) — SIGKILL, a genuine
 // wild-store SIGSEGV, a nonzero _exit, the RLIMIT_CPU sandbox's SIGXCPU, or
 // the supervisor's watchdog — and the campaign must still end certified
 // with the ground-truth boolean (the successor worker is seeded from the
@@ -121,6 +122,7 @@
 #include "serve/router.h"
 #include "serve/shard.h"
 #include "serve/supervisor.h"
+#include "serve/warm_pool.h"
 #include "serve/worker_pool.h"
 
 using namespace pfact;
@@ -317,7 +319,9 @@ constexpr KillShape kKillShapes[] = {
 
 int run_kill_campaigns(const Options& opt, std::ofstream& log) {
   const std::vector<ReductionTask> pool_tasks = build_task_pool();
-  serve::WorkerPool pool;
+  serve::WarmPoolOptions wo;
+  wo.workers = 1;
+  serve::WarmPool pool(wo);
   SoakStats stats;
   std::set<serve::WorkerExit> observed;
   std::size_t resume_handoffs = 0;
@@ -426,7 +430,7 @@ int run_kill_campaigns(const Options& opt, std::ofstream& log) {
     }
   }
 
-  const serve::WorkerPool::Stats ps = pool.stats();
+  const serve::WarmPool::Stats ps = pool.stats();
   log << "summary certified=" << stats.certified
       << " attempts=" << stats.attempts
       << " workers-spawned=" << ps.spawned << " workers-crashed="
