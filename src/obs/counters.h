@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/taxonomy.h"
+
 // Compile-time master switch. CMake defines PFACT_OBS_ENABLED=0 when
 // configured with -DPFACT_OBS=OFF; default is on.
 #if !defined(PFACT_OBS_ENABLED)
@@ -37,141 +39,193 @@
 
 namespace pfact::obs {
 
-// The fixed counter taxonomy. Stable kebab-case names (counter_name) are the
-// JSON keys of every emitted snapshot — append new counters at the end of
-// their group and never reuse a name with a different meaning.
-enum class Counter : std::size_t {
-  // --- factor/: elimination engines ---------------------------------------
-  kElimSteps,          // elimination steps entered (pivot decisions)
-  kPivotScanRows,      // rows examined while selecting pivots
-  kPivotKeeps,         // pivot already in place
-  kPivotSwaps,         // row exchanges (GEP / GEM)
-  kPivotShifts,        // circular shifts (GEMS)
-  kPivotSkips,         // columns with no usable pivot
-  kRowUpdates,         // rank-1 row updates applied
-  kRowUpdateElems,     // scalar multiply-subtract element operations
+// The fixed counter taxonomy, one row per counter (see obs/taxonomy.h).
+// Stable kebab-case names (counter_name) are the JSON keys of every emitted
+// snapshot — append new counters at the end of their group and never reuse
+// a name with a different meaning.
+#define PFACT_COUNTER_ROWS(X)                                                  \
+  /* --- factor/: elimination engines --- */                                   \
+  /* elimination steps entered (pivot decisions) */                            \
+  X(kElimSteps, "elim-steps")                                                  \
+  /* rows examined while selecting pivots */                                   \
+  X(kPivotScanRows, "pivot-scan-rows")                                         \
+  X(kPivotKeeps, "pivot-keeps") /* pivot already in place */                   \
+  X(kPivotSwaps, "pivot-swaps") /* row exchanges (GEP / GEM) */                \
+  X(kPivotShifts, "pivot-shifts") /* circular shifts (GEMS) */                 \
+  X(kPivotSkips, "pivot-skips") /* columns with no usable pivot */             \
+  X(kRowUpdates, "row-updates") /* rank-1 row updates applied */               \
+  /* scalar multiply-subtract element operations */                            \
+  X(kRowUpdateElems, "row-update-elems")                                       \
+  /* --- factor/: orthogonal engines --- */                                    \
+  X(kGivensRotations, "givens-rotations") /* rotations actually applied */     \
+  /* parallel stages containing >= 1 rotation */                               \
+  X(kGivensStages, "givens-stages")                                            \
+  X(kHouseholderReflections, "householder-reflections")                        \
+  /* forward/back substitutions run */                                         \
+  X(kTriangularSolves, "triangular-solves")                                    \
+  /* --- factor/: guards --- */                                                \
+  X(kGuardTicks, "guard-ticks") /* StepGuard budget checks */                  \
+  /* --- numeric/: SoftFloat ops by kind --- */                                \
+  X(kSoftFloatAdds, "softfloat-adds") /* additions/subtractions */             \
+  X(kSoftFloatMuls, "softfloat-muls")                                          \
+  X(kSoftFloatDivs, "softfloat-divs")                                          \
+  X(kSoftFloatSqrts, "softfloat-sqrts")                                        \
+  /* --- numeric/: SoftFloat rounded normalizations by mode --- */             \
+  X(kSoftFloatRoundNearestEven, "softfloat-round-nearest-even")                \
+  X(kSoftFloatRoundTowardZero, "softfloat-round-toward-zero")                  \
+  X(kSoftFloatRoundAwayFromZero, "softfloat-round-away-from-zero")             \
+  /* --- numeric/: BigInt --- */                                               \
+  X(kBigIntAllocs, "bigint-allocs") /* magnitude vectors allocated */          \
+  /* total 32-bit limbs in those allocations */                                \
+  X(kBigIntLimbsAllocated, "bigint-limbs-allocated")                           \
+  X(kBigIntMuls, "bigint-muls")                                                \
+  X(kBigIntDivs, "bigint-divs")                                                \
+  /* --- parallel/ --- */                                                      \
+  X(kPoolTasksSubmitted, "pool-tasks-submitted")                               \
+  X(kPoolChunksRun, "pool-chunks-run") /* parallel_for chunks executed */      \
+  X(kParallelForCalls, "parallel-for-calls")                                   \
+  /* --- nc/ --- */                                                            \
+  /* independent prefix-rank computations issued */                            \
+  X(kRankQueries, "rank-queries")                                              \
+  /* --- robustness/ --- */                                                    \
+  /* corruptions the FaultInjector actually performed */                       \
+  X(kFaultsInjected, "faults-injected")                                        \
+  /* guarded runs that classified an injected fault */                         \
+  X(kFaultsDetected, "faults-detected")                                        \
+  /* guarded attempts launched by the resilient driver */                      \
+  X(kRetryAttempts, "retry-attempts")                                          \
+  /* substrate-ladder climbs (double -> SoftFloat -> ...) */                   \
+  X(kEscalations, "escalations")                                               \
+  /* mid-factorization checkpoints serialized */                               \
+  X(kCheckpointSaves, "checkpoint-saves")                                      \
+  /* total serialized checkpoint bytes */                                      \
+  X(kCheckpointBytes, "checkpoint-bytes")                                      \
+  /* runs restarted from a validated checkpoint */                             \
+  X(kCheckpointResumes, "checkpoint-resumes")                                  \
+  /* checkpoints refused (CRC / version / truncation) */                       \
+  X(kCheckpointRejects, "checkpoint-rejects")                                  \
+  /* --- serve/: process-isolation worker lifecycle --- */                     \
+  X(kWorkerSpawns, "worker-spawns") /* worker subprocesses forked */           \
+  /* workers that died without delivering a result */                          \
+  X(kWorkerCrashes, "worker-crashes")                                          \
+  /* workers SIGKILLed by the supervisor's watchdog */                         \
+  X(kWorkerWatchdogKills, "worker-watchdog-kills")                             \
+  /* respawns seeded with a verified checkpoint blob */                        \
+  X(kWorkerResumeHandoffs, "worker-resume-handoffs")                           \
+  /* --- serve/: warm pool, admission control, result cache --- */             \
+  /* fork() itself failed (resource exhaustion) */                             \
+  X(kServeForkFailures, "serve-fork-failures")                                 \
+  /* jobs executed on an already-warm worker */                                \
+  X(kServeWarmJobs, "serve-warm-jobs")                                         \
+  /* warm workers retired on plan (job quota/rlimits) */                       \
+  X(kServeWorkerRecycles, "serve-worker-recycles")                             \
+  /* jobs offered to the service queue */                                      \
+  X(kServeJobsSubmitted, "serve-jobs-submitted")                               \
+  /* jobs refused by admission control (classified) */                         \
+  X(kServeJobsShed, "serve-jobs-shed")                                         \
+  /* result-cache probes answered from cache */                                \
+  X(kServeCacheHits, "serve-cache-hits")                                       \
+  /* probes that fell through to the warm pool */                              \
+  X(kServeCacheMisses, "serve-cache-misses")                                   \
+  /* verified answers written into the cache */                                \
+  X(kServeCacheFills, "serve-cache-fills")                                     \
+  /* entries displaced by capacity bounds */                                   \
+  X(kServeCacheEvictions, "serve-cache-evictions")                             \
+  /* entries rejected on read (CRC/envelope) */                                \
+  X(kServeCacheCorrupt, "serve-cache-corrupt")                                 \
+  /* --- matrix/: sparse backend --- */                                        \
+  X(kSparseBuilds, "sparse-builds") /* triplet builds finalized into a CSR */  \
+  /* duplicate triplets merged during build */                                 \
+  X(kSparseTripletsCoalesced, "sparse-triplets-coalesced")                     \
+  /* entries created by elimination row updates */                             \
+  X(kSparseFillIns, "sparse-fill-ins")                                         \
+  /* computed exact zeros dropped, not stored */                               \
+  X(kSparseZeroDrops, "sparse-zero-drops")                                     \
+  /* bytes of dense matrix storage benchmarked */                              \
+  X(kDenseStorageBytes, "dense-storage-bytes")                                 \
+  /* bytes of sparse CSR storage benchmarked */                                \
+  X(kSparseStorageBytes, "sparse-storage-bytes")                               \
+  /* --- serve/: socket front end --- */                                       \
+  /* connections accept()ed by the listener */                                 \
+  X(kFrontendConnsAccepted, "frontend-conns-accepted")                         \
+  /* requests admitted and answered (kAccepted) */                             \
+  X(kFrontendAccepted, "frontend-accepted")                                    \
+  /* frames/payloads refused as kMalformedFrame */                             \
+  X(kFrontendMalformed, "frontend-malformed")                                  \
+  /* slow clients evicted at a read/write deadline */                          \
+  X(kFrontendDeadlineEvictions, "frontend-deadline-evictions")                 \
+  /* peers that vanished mid-frame (kConnReset) */                             \
+  X(kFrontendConnResets, "frontend-conn-resets")                               \
+  /* conn-bound / queue-full refusals (kOverloaded) */                         \
+  X(kFrontendOverloadSheds, "frontend-overload-sheds")                         \
+  /* requests refused while draining (kDraining) */                            \
+  X(kFrontendDrainRefusals, "frontend-drain-refusals")                         \
+  /* request-side bytes read off client sockets */                             \
+  X(kFrontendBytesRead, "frontend-bytes-read")                                 \
+  /* response-side bytes written to client sockets */                          \
+  X(kFrontendBytesWritten, "frontend-bytes-written")                           \
+  /* client library retry attempts (transient) */                              \
+  X(kClientRetries, "client-retries")                                          \
+  /* --- serve/: shard router --- */                                           \
+  /* health heartbeats echoed by the event loop */                             \
+  X(kFrontendProbes, "frontend-probes")                                        \
+  X(kRouterRoutes, "router-routes") /* requests routed to their home shard */  \
+  /* requests rerouted around a dead/evicted shard */                          \
+  X(kRouterFailovers, "router-failovers")                                      \
+  /* fresh work shed while degraded (brownout) */                              \
+  X(kRouterBrownoutSheds, "router-brownout-sheds")                             \
+  /* requests refused with no shard alive */                                   \
+  X(kRouterAllShardsDown, "router-all-shards-down")                            \
+  /* shard processes respawned after a death */                                \
+  X(kRouterRestarts, "router-restarts")                                        \
+  X(kRouterProbes, "router-probes") /* health probes the router sent */        \
+  X(kShardServing, "shard-serving") /* shard observed healthy (probe acked) */ \
+  X(kShardStarting, "shard-starting") /* shard observed still booting */       \
+  /* shard evicted: probe deadline expired */                                  \
+  X(kShardUnresponsive, "shard-unresponsive")                                  \
+  X(kShardDead, "shard-dead") /* shard reaped by waitpid (any death class) */  \
+  /* shard waiting out its seeded restart backoff */                           \
+  X(kShardRestarting, "shard-restarting")
 
-  // --- factor/: orthogonal engines ----------------------------------------
-  kGivensRotations,    // rotations actually applied
-  kGivensStages,       // parallel stages containing >= 1 rotation
-  kHouseholderReflections,
-  kTriangularSolves,   // forward/back substitutions run
+enum class Counter : std::size_t { PFACT_COUNTER_ROWS(PFACT_ROW0_ID) };
 
-  // --- factor/: guards -----------------------------------------------------
-  kGuardTicks,         // StepGuard budget checks
-
-  // --- numeric/: SoftFloat ops by kind -------------------------------------
-  kSoftFloatAdds,      // additions/subtractions
-  kSoftFloatMuls,
-  kSoftFloatDivs,
-  kSoftFloatSqrts,
-
-  // --- numeric/: SoftFloat rounded normalizations by mode ------------------
-  kSoftFloatRoundNearestEven,
-  kSoftFloatRoundTowardZero,
-  kSoftFloatRoundAwayFromZero,
-
-  // --- numeric/: BigInt -----------------------------------------------------
-  kBigIntAllocs,       // magnitude vectors allocated
-  kBigIntLimbsAllocated,  // total 32-bit limbs in those allocations
-  kBigIntMuls,
-  kBigIntDivs,
-
-  // --- parallel/ ------------------------------------------------------------
-  kPoolTasksSubmitted,
-  kPoolChunksRun,      // parallel_for chunks executed
-  kParallelForCalls,
-
-  // --- nc/ -------------------------------------------------------------------
-  kRankQueries,        // independent prefix-rank computations issued
-
-  // --- robustness/ -----------------------------------------------------------
-  kFaultsInjected,     // corruptions the FaultInjector actually performed
-  kFaultsDetected,     // guarded runs that classified an injected fault
-  kRetryAttempts,      // guarded attempts launched by the resilient driver
-  kEscalations,        // substrate-ladder climbs (double -> SoftFloat -> ...)
-  kCheckpointSaves,    // mid-factorization checkpoints serialized
-  kCheckpointBytes,    // total serialized checkpoint bytes
-  kCheckpointResumes,  // runs restarted from a validated checkpoint
-  kCheckpointRejects,  // checkpoints refused (CRC / version / truncation)
-
-  // --- serve/: process-isolation worker lifecycle ---------------------------
-  kWorkerSpawns,          // worker subprocesses forked
-  kWorkerCrashes,         // workers that died without delivering a result
-  kWorkerWatchdogKills,   // workers SIGKILLed by the supervisor's watchdog
-  kWorkerResumeHandoffs,  // respawns seeded with a verified checkpoint blob
-
-  // --- serve/: warm pool, admission control, result cache -------------------
-  kServeForkFailures,     // fork() itself failed (resource exhaustion)
-  kServeWarmJobs,         // jobs executed on an already-warm worker
-  kServeWorkerRecycles,   // warm workers retired on plan (job quota/rlimits)
-  kServeJobsSubmitted,    // jobs offered to the service queue
-  kServeJobsShed,         // jobs refused by admission control (classified)
-  kServeCacheHits,        // result-cache probes answered from cache
-  kServeCacheMisses,      // probes that fell through to the warm pool
-  kServeCacheFills,       // verified answers written into the cache
-  kServeCacheEvictions,   // entries displaced by capacity bounds
-  kServeCacheCorrupt,     // entries rejected on read (CRC/envelope)
-
-  // --- matrix/: sparse backend ----------------------------------------------
-  kSparseBuilds,             // triplet builds finalized into a CSR
-  kSparseTripletsCoalesced,  // duplicate triplets merged during build
-  kSparseFillIns,            // entries created by elimination row updates
-  kSparseZeroDrops,          // computed exact zeros dropped, not stored
-  kDenseStorageBytes,        // bytes of dense matrix storage benchmarked
-  kSparseStorageBytes,       // bytes of sparse CSR storage benchmarked
-
-  // --- serve/: socket front end ---------------------------------------------
-  kFrontendConnsAccepted,     // connections accept()ed by the listener
-  kFrontendAccepted,          // requests admitted and answered (kAccepted)
-  kFrontendMalformed,         // frames/payloads refused as kMalformedFrame
-  kFrontendDeadlineEvictions, // slow clients evicted at a read/write deadline
-  kFrontendConnResets,        // peers that vanished mid-frame (kConnReset)
-  kFrontendOverloadSheds,     // conn-bound / queue-full refusals (kOverloaded)
-  kFrontendDrainRefusals,     // requests refused while draining (kDraining)
-  kFrontendBytesRead,         // request-side bytes read off client sockets
-  kFrontendBytesWritten,      // response-side bytes written to client sockets
-  kClientRetries,             // client library retry attempts (transient)
-
-  // --- serve/: shard router -------------------------------------------------
-  kFrontendProbes,            // health heartbeats echoed by the event loop
-  kRouterRoutes,              // requests routed to their home shard
-  kRouterFailovers,           // requests rerouted around a dead/evicted shard
-  kRouterBrownoutSheds,       // fresh work shed while degraded (brownout)
-  kRouterAllShardsDown,       // requests refused with no shard alive
-  kRouterRestarts,            // shard processes respawned after a death
-  kRouterProbes,              // health probes the router sent
-  kShardServing,              // shard observed healthy (probe acked)
-  kShardStarting,             // shard observed still booting
-  kShardUnresponsive,         // shard evicted: probe deadline expired
-  kShardDead,                 // shard reaped by waitpid (any death class)
-  kShardRestarting,           // shard waiting out its seeded restart backoff
-
-  kCount_,  // sentinel: number of counters
-};
-
-inline constexpr std::size_t kNumCounters =
-    static_cast<std::size_t>(Counter::kCount_);
+inline constexpr std::array kCounterNames{PFACT_COUNTER_ROWS(PFACT_ROW0_NAME)};
+inline constexpr std::size_t kNumCounters = kCounterNames.size();
 
 // Stable external name, e.g. "elim-steps"; the JSON key of the counter.
-const char* counter_name(Counter c);
+inline const char* counter_name(Counter c) {
+  return row_or(kCounterNames, c, "?");
+}
 
 // Power-of-two bucketed histograms for quantities whose *distribution*
 // matters, not just the total.
-enum class Histogram : std::size_t {
-  kPivotMoveDistance,   // piv - k: how far the chosen pivot row travelled
-  kBigIntLimbs,         // limb count of allocated magnitudes
-  kSpanDurationUs,      // span wall time, microseconds
-  kQueueDepth,          // service queue depth observed at each admission
-  kSparseRowNnz,        // per-row nonzero counts of built CSR matrices
-  kCount_,
-};
+#define PFACT_HISTOGRAM_ROWS(X)                                                \
+  /* piv - k: how far the chosen pivot row travelled */                        \
+  X(kPivotMoveDistance, "pivot-move-distance")                                 \
+  X(kBigIntLimbs, "bigint-limbs") /* limb count of allocated magnitudes */     \
+  X(kSpanDurationUs, "span-duration-us") /* span wall time, microseconds */    \
+  /* service queue depth observed at each admission */                         \
+  X(kQueueDepth, "queue-depth")                                                \
+  /* per-row nonzero counts of built CSR matrices */                           \
+  X(kSparseRowNnz, "sparse-row-nnz")
 
-inline constexpr std::size_t kNumHistograms =
-    static_cast<std::size_t>(Histogram::kCount_);
-inline constexpr std::size_t kHistogramBuckets = 32;  // bucket b: [2^b, 2^{b+1})
+enum class Histogram : std::size_t { PFACT_HISTOGRAM_ROWS(PFACT_ROW0_ID) };
 
-const char* histogram_name(Histogram h);
+inline constexpr std::array kHistogramNames{
+    PFACT_HISTOGRAM_ROWS(PFACT_ROW0_NAME)};
+inline constexpr std::size_t kNumHistograms = kHistogramNames.size();
+// Bucket b counts values in [2^b, 2^{b+1}).
+inline constexpr std::size_t kHistogramBuckets = 32;
+
+inline const char* histogram_name(Histogram h) {
+  return row_or(kHistogramNames, h, "?");
+}
+
+// Counters and histograms share one JSON namespace, so names are checked
+// across both lists.
+PFACT_TAXONOMY_CHECK_NAMES((std::array{PFACT_COUNTER_ROWS(PFACT_ROW0_NAME)
+                                           PFACT_HISTOGRAM_ROWS(
+                                               PFACT_ROW0_NAME)}));
 
 // A consistent view of every counter, summed over all threads that ever
 // incremented one. Plain integers — safe to copy, diff and serialize.

@@ -13,61 +13,92 @@
 // returns kOk with a value certified against the direct circuit evaluation,
 // or a non-kOk diagnostic. It never returns a plausible-but-wrong value.
 
+#include <array>
 #include <cstddef>
 #include <string>
 
 #include "factor/pivot_trace.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 
 namespace pfact::robustness {
 
-enum class Diagnostic {
-  kOk,                    // decode clean AND certified by cross-check
-  kBadInput,              // malformed instance (arity, encoding, size cap)
-  kDecodeNotBoolean,      // output entry is not an exact encoded 0/1
-  kDecodeAmbiguous,       // zero or multiple live rows at the decode column
-  kDecodeOutOfTolerance,  // float decode outside the accepted band of +/-1
-  kCrossCheckMismatch,    // decode clean but contradicts direct evaluation
-  kPivotAnomaly,          // unexpected skip/fail event in the pivot trace
-  kRoundingAnomaly,       // arithmetic substrate is not round-to-nearest-even
-  kNumericOverflow,       // SoftFloat saturation / BigInt growth-limit hit
-  kNumericNonFinite,      // NaN/inf or degenerate (zero-norm) rotation
-  kInvariantViolation,    // an engine invariant tripped (non-unit pivot, ...)
-  kStepBudgetExceeded,    // the run consumed more steps than its budget
-  kDeadlineExceeded,      // the run overran its wall-clock deadline
-  kCancelled,             // cooperative cancellation fired mid-run
-  kResourceExhausted,     // allocation failure (std::bad_alloc) mid-run
-  kCheckpointCorrupt,     // a resume checkpoint failed CRC/version/shape
-  kWorkerFailure,         // a pool worker failed with an unclassified error
-  kInternalError,         // anything else — a bug in this library
-  kOverloaded,            // admission control shed the job (queue saturated)
-  kConnReset,             // a network peer vanished mid-conversation
+// What a failed run's diagnostic says to do next — the whole decision table
+// of resilient_run.h (see retry.h for the policy behind each kind).
+enum class FailureKind {
+  kSuccess,        // diagnostic == kOk: nothing to handle
+  kTransient,      // retry on the same substrate
+  kDeterministic,  // escalate to a higher-precision substrate
+  kFatal,          // fail immediately, no retry, no escalation
 };
 
+// One row per diagnostic (see obs/taxonomy.h): its name and the FailureKind
+// classify_diagnostic maps it to.
+//   kTransient     — environment, preemption or storage: the computation
+//                    itself was never refuted, only interrupted or run in a
+//                    poisoned moment.
+//   kDeterministic — the arithmetic on this substrate produced these bits
+//                    and will again: only more precision can change the
+//                    outcome.
+//   kFatal         — malformed input or a library bug: unrecoverable by
+//                    construction.
+#define PFACT_DIAGNOSTIC_ROWS(X)                                               \
+  X(kOk, "ok", kSuccess) /* decode clean AND certified by cross-check */       \
+  /* malformed instance (arity, encoding, size cap) */                         \
+  X(kBadInput, "bad-input", kFatal)                                            \
+  /* output entry is not an exact encoded 0/1 */                               \
+  X(kDecodeNotBoolean, "decode-not-boolean", kDeterministic)                   \
+  /* zero or multiple live rows at the decode column */                        \
+  X(kDecodeAmbiguous, "decode-ambiguous", kDeterministic)                      \
+  /* float decode outside the accepted band of +/-1 */                         \
+  X(kDecodeOutOfTolerance, "decode-out-of-tolerance", kDeterministic)          \
+  /* decode clean but contradicts direct evaluation */                         \
+  X(kCrossCheckMismatch, "cross-check-mismatch", kDeterministic)               \
+  /* unexpected skip/fail event in the pivot trace */                          \
+  X(kPivotAnomaly, "pivot-anomaly", kDeterministic)                            \
+  /* arithmetic substrate is not round-to-nearest-even: the FPU state          \
+     flipped under us */                                                       \
+  X(kRoundingAnomaly, "rounding-anomaly", kTransient)                          \
+  /* SoftFloat saturation / BigInt growth-limit hit */                         \
+  X(kNumericOverflow, "numeric-overflow", kDeterministic)                      \
+  /* NaN/inf or degenerate (zero-norm) rotation */                             \
+  X(kNumericNonFinite, "numeric-non-finite", kDeterministic)                   \
+  /* an engine invariant tripped (non-unit pivot, ...) */                      \
+  X(kInvariantViolation, "invariant-violation", kDeterministic)                \
+  /* the run consumed more steps than its budget: preempted by its own         \
+     budget */                                                                 \
+  X(kStepBudgetExceeded, "step-budget-exceeded", kTransient)                   \
+  /* the run overran its wall-clock deadline */                                \
+  X(kDeadlineExceeded, "deadline-exceeded", kTransient)                        \
+  /* cooperative cancellation fired mid-run */                                 \
+  X(kCancelled, "cancelled", kTransient)                                       \
+  /* allocation failure (std::bad_alloc) mid-run, under memory pressure */     \
+  X(kResourceExhausted, "resource-exhausted", kTransient)                      \
+  /* a resume checkpoint failed CRC/version/shape: a torn write; the retry     \
+     re-resumes */                                                             \
+  X(kCheckpointCorrupt, "checkpoint-corrupt", kTransient)                      \
+  /* a pool worker failed with an unclassified error */                        \
+  X(kWorkerFailure, "worker-failure", kTransient)                              \
+  /* anything else — a bug in this library */                                  \
+  X(kInternalError, "internal-error", kFatal)                                  \
+  /* admission control shed the job (queue saturated): the work was            \
+     refused, never refuted */                                                 \
+  X(kOverloaded, "overloaded", kTransient)                                     \
+  /* a network peer vanished mid-conversation; the request may never have      \
+     been seen — reconnect and resubmit */                                     \
+  X(kConnReset, "connection-reset", kTransient)
+
+enum class Diagnostic { PFACT_DIAGNOSTIC_ROWS(PFACT_ROW1_ID) };
+
+inline constexpr std::array kDiagnosticNames{
+    PFACT_DIAGNOSTIC_ROWS(PFACT_ROW1_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kDiagnosticNames);
+inline constexpr std::size_t kNumDiagnostics = kDiagnosticNames.size();
+inline constexpr std::array kDiagnosticKinds =
+    PFACT_TAXONOMY_LEGS(FailureKind, PFACT_DIAGNOSTIC_ROWS, PFACT_ROW1_LEG);
+
 inline const char* diagnostic_name(Diagnostic d) {
-  switch (d) {
-    case Diagnostic::kOk: return "ok";
-    case Diagnostic::kBadInput: return "bad-input";
-    case Diagnostic::kDecodeNotBoolean: return "decode-not-boolean";
-    case Diagnostic::kDecodeAmbiguous: return "decode-ambiguous";
-    case Diagnostic::kDecodeOutOfTolerance: return "decode-out-of-tolerance";
-    case Diagnostic::kCrossCheckMismatch: return "cross-check-mismatch";
-    case Diagnostic::kPivotAnomaly: return "pivot-anomaly";
-    case Diagnostic::kRoundingAnomaly: return "rounding-anomaly";
-    case Diagnostic::kNumericOverflow: return "numeric-overflow";
-    case Diagnostic::kNumericNonFinite: return "numeric-non-finite";
-    case Diagnostic::kInvariantViolation: return "invariant-violation";
-    case Diagnostic::kStepBudgetExceeded: return "step-budget-exceeded";
-    case Diagnostic::kDeadlineExceeded: return "deadline-exceeded";
-    case Diagnostic::kCancelled: return "cancelled";
-    case Diagnostic::kResourceExhausted: return "resource-exhausted";
-    case Diagnostic::kCheckpointCorrupt: return "checkpoint-corrupt";
-    case Diagnostic::kWorkerFailure: return "worker-failure";
-    case Diagnostic::kInternalError: return "internal-error";
-    case Diagnostic::kOverloaded: return "overloaded";
-    case Diagnostic::kConnReset: return "connection-reset";
-  }
-  return "?";
+  return obs::row_or(kDiagnosticNames, d, "?");
 }
 
 inline constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);

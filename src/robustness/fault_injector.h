@@ -28,6 +28,7 @@
 // value is still certified-correct) or detected with a non-kOk diagnostic —
 // never returned as a plausible answer.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -38,30 +39,29 @@
 #include "numeric/field.h"
 #include "numeric/softfloat.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 
 namespace pfact::robustness {
 
-enum class FaultClass {
-  kNone,
-  kBitFlip,
-  kEpsilonNudge,
-  kPivotTie,
-  kRoundingFlip,
-  kTruncatedInput,
-  kTornWrite,
-};
+// One row per fault class, in the order above (see obs/taxonomy.h).
+#define PFACT_FAULT_CLASS_ROWS(X)                                              \
+  X(kNone, "none") /* the plan injects nothing; not part of the sweep */       \
+  X(kBitFlip, "bit-flip")                                                      \
+  X(kEpsilonNudge, "epsilon-nudge")                                            \
+  X(kPivotTie, "pivot-tie")                                                    \
+  X(kRoundingFlip, "rounding-flip")                                            \
+  X(kTruncatedInput, "truncated-input")                                        \
+  X(kTornWrite, "torn-write")
+
+enum class FaultClass { PFACT_FAULT_CLASS_ROWS(PFACT_ROW0_ID) };
+
+inline constexpr std::array kFaultClassNames{
+    PFACT_FAULT_CLASS_ROWS(PFACT_ROW0_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kFaultClassNames);
+inline constexpr std::size_t kNumFaultClasses = kFaultClassNames.size();
 
 inline const char* fault_class_name(FaultClass f) {
-  switch (f) {
-    case FaultClass::kNone: return "none";
-    case FaultClass::kBitFlip: return "bit-flip";
-    case FaultClass::kEpsilonNudge: return "epsilon-nudge";
-    case FaultClass::kPivotTie: return "pivot-tie";
-    case FaultClass::kRoundingFlip: return "rounding-flip";
-    case FaultClass::kTruncatedInput: return "truncated-input";
-    case FaultClass::kTornWrite: return "torn-write";
-  }
-  return "?";
+  return obs::row_or(kFaultClassNames, f, "?");
 }
 
 struct FaultPlan {
@@ -244,11 +244,7 @@ class FaultInjector {
 // observable on runs that actually save checkpoints; on an uncheckpointed
 // run it is a no-op (harmless by construction).
 inline const std::vector<FaultClass>& all_fault_classes() {
-  static const std::vector<FaultClass> classes = {
-      FaultClass::kBitFlip,       FaultClass::kEpsilonNudge,
-      FaultClass::kPivotTie,      FaultClass::kRoundingFlip,
-      FaultClass::kTruncatedInput, FaultClass::kTornWrite};
-  return classes;
+  return obs::sweep<FaultClass, kNumFaultClasses, 1>();
 }
 
 }  // namespace pfact::robustness

@@ -34,17 +34,10 @@
 
 namespace pfact::robustness {
 
-enum class FailureKind {
-  kSuccess,        // diagnostic == kOk: nothing to handle
-  kTransient,      // retry on the same substrate
-  kDeterministic,  // escalate to a higher-precision substrate
-  kFatal,          // fail immediately, no retry, no escalation
-};
-
 const char* failure_kind_name(FailureKind k);
 
-// The decision table. Total over Diagnostic: every enumerator maps to
-// exactly one kind (enforced by a switch with no default in retry.cpp).
+// The decision table: the FailureKind leg of the diagnostic's row in
+// diagnostics.h, so every enumerator maps to exactly one kind.
 FailureKind classify_diagnostic(Diagnostic d);
 
 // splitmix64 of (seed ^ mixed attempt) — the standard 64-bit finalizer, used

@@ -86,13 +86,10 @@ bool decode_response(std::string_view payload, FrontendResponse& out) {
   ByteReader r(payload);
   FrontendResponse resp;
   const std::uint32_t status = r.get_u32();
-  // Bounds track the LAST enumerator of each taxonomy (append-only).
-  if (status > static_cast<std::uint32_t>(FrontendStatus::kDraining))
-    return false;
+  if (status >= kNumFrontendStatuses) return false;
   resp.status = static_cast<FrontendStatus>(status);
   const std::uint32_t admission = r.get_u32();
-  if (admission > static_cast<std::uint32_t>(Admission::kShedShutdown))
-    return false;
+  if (admission >= kNumAdmissions) return false;
   resp.admission = static_cast<Admission>(admission);
   resp.from_cache = r.get_u8() != 0;
   resp.certified = r.get_u8() != 0;

@@ -13,10 +13,10 @@
 //
 // Robustness is the design center, not a wrapper (DESIGN.md section 14):
 //
-//   * every connection outcome is one FrontendStatus enumerator — named,
-//     counted, diagnosable, sweepable (pfact_lint rule PL012 keeps the four
-//     total). A client is never dropped without a classification; the only
-//     unclassified exit is a clean close at a frame boundary.
+//   * every connection outcome is one FrontendStatus row — named, counted,
+//     diagnosed and swept from that one row. A client is never dropped
+//     without a classification; the only unclassified exit is a clean close
+//     at a frame boundary.
 //   * per-connection deadlines: a frame must COMPLETE within read_deadline
 //     of its first byte, and a response must drain within write_deadline —
 //     the slowloris client that dribbles a header forever is evicted with a
@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "serve/queue.h"
@@ -57,84 +58,57 @@
 namespace pfact::serve {
 
 // Every way a client conversation can end, from the LISTENER's point of
-// view. Total: each request (or failed attempt at one) lands in exactly one
-// class. PL012 checks each has a printable name, an obs counter, a
-// Diagnostic mapping, and a sweep entry.
-enum class FrontendStatus {
-  kAccepted,        // decoded, admitted, supervised result frame delivered
-  kMalformedFrame,  // bad magic/type/length/CRC or an undecodable payload
-  kDeadline,        // read or write deadline expired (slow client evicted)
-  kConnReset,       // peer vanished mid-frame or mid-response
-  kOverloaded,      // connection bound or admission queue shed the load
-  kDraining,        // drain in progress: request refused, finish elsewhere
-};
+// view, one row per class (see obs/taxonomy.h). Total: each request (or
+// failed attempt at one) lands in exactly one class. Each row names the
+// Diagnostic the client library (and any caller's own backoff loop)
+// classifies it with, and the obs counter bumped when a conversation ends
+// in it. Malformed frames are the one DETERMINISTIC class — resending the
+// same bytes reproduces the same refusal; every other refusal is transient.
+#define PFACT_FRONTEND_STATUS_ROWS(X)                                          \
+  /* decoded, admitted, supervised result frame delivered */                   \
+  X(kAccepted, "accepted", kOk, kFrontendAccepted)                             \
+  /* bad magic/type/length/CRC or an undecodable payload (fatal: fix the       \
+     frame, not retry) */                                                      \
+  X(kMalformedFrame, "malformed-frame", kBadInput, kFrontendMalformed)         \
+  /* read or write deadline expired (slow client evicted) */                   \
+  X(kDeadline, "deadline", kDeadlineExceeded, kFrontendDeadlineEvictions)      \
+  /* peer vanished mid-frame or mid-response */                                \
+  X(kConnReset, "conn-reset", kConnReset, kFrontendConnResets)                 \
+  /* connection bound or admission queue shed the load (back off, resubmit) */ \
+  X(kOverloaded, "overloaded", kOverloaded, kFrontendOverloadSheds)            \
+  /* drain in progress: request refused, finish elsewhere */                   \
+  X(kDraining, "draining", kCancelled, kFrontendDrainRefusals)
+
+enum class FrontendStatus { PFACT_FRONTEND_STATUS_ROWS(PFACT_ROW2_ID) };
+
+inline constexpr std::array kFrontendStatusNames{
+    PFACT_FRONTEND_STATUS_ROWS(PFACT_ROW2_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kFrontendStatusNames);
+inline constexpr std::size_t kNumFrontendStatuses =
+    kFrontendStatusNames.size();
+inline constexpr std::array kFrontendStatusDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_FRONTEND_STATUS_ROWS, PFACT_ROW2_DIAGNOSTIC);
+inline constexpr std::array kFrontendStatusCounters = PFACT_TAXONOMY_LEGS(
+    obs::Counter, PFACT_FRONTEND_STATUS_ROWS, PFACT_ROW2_COUNTER);
 
 inline const char* frontend_status_name(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return "accepted";
-    case FrontendStatus::kMalformedFrame: return "malformed-frame";
-    case FrontendStatus::kDeadline: return "deadline";
-    case FrontendStatus::kConnReset: return "conn-reset";
-    case FrontendStatus::kOverloaded: return "overloaded";
-    case FrontendStatus::kDraining: return "draining";
-  }
-  return "?";
+  return obs::row_or(kFrontendStatusNames, s, "?");
 }
 
 // The sweepable taxonomy, for the rejection-matrix test and the --net soak
 // campaign's full-coverage contract.
 inline const std::vector<FrontendStatus>& all_frontend_statuses() {
-  static const std::vector<FrontendStatus> statuses = {
-      FrontendStatus::kAccepted,   FrontendStatus::kMalformedFrame,
-      FrontendStatus::kDeadline,   FrontendStatus::kConnReset,
-      FrontendStatus::kOverloaded, FrontendStatus::kDraining};
-  return statuses;
+  return obs::sweep<FrontendStatus, kNumFrontendStatuses>();
 }
 
-// Maps listener outcomes into the retry taxonomy the client library (and
-// any caller's own backoff loop) classifies with. Malformed frames are the
-// one DETERMINISTIC class — resending the same bytes reproduces the same
-// refusal; every other refusal is transient.
-//   kAccepted       -> kOk
-//   kMalformedFrame -> kBadInput          (fatal: fix the frame, not retry)
-//   kDeadline       -> kDeadlineExceeded  (transient)
-//   kConnReset      -> kConnReset         (transient)
-//   kOverloaded     -> kOverloaded        (transient: back off, resubmit)
-//   kDraining       -> kCancelled         (transient)
 inline robustness::Diagnostic diagnose_frontend_status(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return robustness::Diagnostic::kOk;
-    case FrontendStatus::kMalformedFrame:
-      return robustness::Diagnostic::kBadInput;
-    case FrontendStatus::kDeadline:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case FrontendStatus::kConnReset:
-      return robustness::Diagnostic::kConnReset;
-    case FrontendStatus::kOverloaded:
-      return robustness::Diagnostic::kOverloaded;
-    case FrontendStatus::kDraining:
-      return robustness::Diagnostic::kCancelled;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return obs::row_or(kFrontendStatusDiagnoses, s,
+                     robustness::Diagnostic::kInternalError);
 }
 
-// The obs counter bumped when a conversation ends in each class — the
-// "counted" leg of the taxonomy (PL012).
 inline obs::Counter frontend_status_counter(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return obs::Counter::kFrontendAccepted;
-    case FrontendStatus::kMalformedFrame:
-      return obs::Counter::kFrontendMalformed;
-    case FrontendStatus::kDeadline:
-      return obs::Counter::kFrontendDeadlineEvictions;
-    case FrontendStatus::kConnReset:
-      return obs::Counter::kFrontendConnResets;
-    case FrontendStatus::kOverloaded:
-      return obs::Counter::kFrontendOverloadSheds;
-    case FrontendStatus::kDraining:
-      return obs::Counter::kFrontendDrainRefusals;
-  }
-  return obs::Counter::kFrontendMalformed;
+  return obs::row_or(kFrontendStatusCounters, s,
+                     obs::Counter::kFrontendMalformed);
 }
 
 // --- network fault injection ------------------------------------------------
@@ -253,7 +227,7 @@ class Frontend {
   struct Stats {
     std::uint64_t conns_accepted = 0;
     // Conversations ended in each FrontendStatus, indexable by enumerator.
-    std::array<std::uint64_t, 6> by_status{};
+    std::array<std::uint64_t, kNumFrontendStatuses> by_status{};
     std::uint64_t clean_closes = 0;  // EOF at a frame boundary (no status)
 
     std::uint64_t status(FrontendStatus s) const {

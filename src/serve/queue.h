@@ -20,11 +20,12 @@
 //     finish, and joins the dispatchers — every waiter always gets a
 //     classified response.
 //
-// Every admission outcome is an enumerator below, named and mapped into the
-// robustness taxonomy (pfact_lint rule PL010 keeps the three total), and
-// backpressure is observable: serve-jobs-submitted / serve-jobs-shed
-// counters plus the queue-depth histogram recorded at every admission.
+// Every admission outcome is a row of one list below, named and mapped into
+// the robustness taxonomy, and backpressure is observable:
+// serve-jobs-submitted / serve-jobs-shed counters plus the queue-depth
+// histogram recorded at every admission.
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -35,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/escalation.h"
 #include "serve/result_cache.h"
@@ -43,53 +45,44 @@
 
 namespace pfact::serve {
 
-// Every way an offered job can be admitted or refused. Total: a submission
-// lands in exactly one class (PL010 checks each has a printable name, a
-// Diagnostic mapping, and a sweep entry).
-enum class Admission {
-  kAccepted,       // queued within bounds; a report will follow
-  kShedQueueFull,  // bounded depth reached: load shed at the front door
-  kShedDeadline,   // the job's deadline expired before dispatch
-  kShedShutdown,   // the service is draining or stopped
-};
+// Every way an offered job can be admitted or refused, one row per class
+// (see obs/taxonomy.h). Total: a submission lands in exactly one class. The
+// Diagnostic leg maps it into the retry taxonomy: every shed class is
+// TRANSIENT under classify_diagnostic — the work was refused, never
+// refuted, so resubmitting later is always sound.
+#define PFACT_ADMISSION_ROWS(X)                                                \
+  /* queued within bounds; a report will follow */                             \
+  X(kAccepted, "accepted", kOk)                                                \
+  /* bounded depth reached: load shed at the front door (back off and          \
+     resubmit) */                                                              \
+  X(kShedQueueFull, "shed-queue-full", kOverloaded)                            \
+  /* the job's deadline expired before dispatch */                             \
+  X(kShedDeadline, "shed-deadline", kDeadlineExceeded)                         \
+  /* the service is draining or stopped */                                     \
+  X(kShedShutdown, "shed-shutdown", kCancelled)
+
+enum class Admission { PFACT_ADMISSION_ROWS(PFACT_ROW1_ID) };
+
+inline constexpr std::array kAdmissionNames{
+    PFACT_ADMISSION_ROWS(PFACT_ROW1_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kAdmissionNames);
+inline constexpr std::size_t kNumAdmissions = kAdmissionNames.size();
+inline constexpr std::array kAdmissionDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_ADMISSION_ROWS, PFACT_ROW1_LEG);
 
 inline const char* admission_name(Admission a) {
-  switch (a) {
-    case Admission::kAccepted: return "accepted";
-    case Admission::kShedQueueFull: return "shed-queue-full";
-    case Admission::kShedDeadline: return "shed-deadline";
-    case Admission::kShedShutdown: return "shed-shutdown";
-  }
-  return "?";
+  return obs::row_or(kAdmissionNames, a, "?");
 }
 
 // The sweepable taxonomy, for the service test suite and the --serve soak
 // campaign's shed-classification assertions.
 inline const std::vector<Admission>& all_admissions() {
-  static const std::vector<Admission> admissions = {
-      Admission::kAccepted, Admission::kShedQueueFull,
-      Admission::kShedDeadline, Admission::kShedShutdown};
-  return admissions;
+  return obs::sweep<Admission, kNumAdmissions>();
 }
 
-// Maps admission outcomes into the retry taxonomy: every shed class is
-// TRANSIENT under classify_diagnostic — the work was refused, never
-// refuted, so resubmitting later is always sound.
-//   kAccepted      -> kOk
-//   kShedQueueFull -> kOverloaded        (back off and resubmit)
-//   kShedDeadline  -> kDeadlineExceeded
-//   kShedShutdown  -> kCancelled
 inline robustness::Diagnostic diagnose_admission(Admission a) {
-  switch (a) {
-    case Admission::kAccepted: return robustness::Diagnostic::kOk;
-    case Admission::kShedQueueFull:
-      return robustness::Diagnostic::kOverloaded;
-    case Admission::kShedDeadline:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case Admission::kShedShutdown:
-      return robustness::Diagnostic::kCancelled;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return obs::row_or(kAdmissionDiagnoses, a,
+                     robustness::Diagnostic::kInternalError);
 }
 
 // Per-job knobs riding on top of the service-wide SupervisorOptions. The

@@ -22,10 +22,10 @@
 //   * bounded: capacity-limited with least-recently-used eviction, so the
 //     cache degrades to recomputation, not to unbounded memory.
 //
-// Every probe outcome is an enumerator of CacheProbe, named and mapped into
-// the robustness Diagnostic taxonomy below (pfact_lint rule PL010 keeps the
-// three total).
+// Every probe outcome is a row of the CacheProbe list below, named and
+// mapped into the robustness Diagnostic taxonomy by that same row.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -33,54 +33,47 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/escalation.h"
 
 namespace pfact::serve {
 
-// Every way a cache read can end. Total: a lookup lands in exactly one
-// class (PL010 checks each has a printable name, a Diagnostic mapping, and
-// a sweep entry).
-enum class CacheProbe {
-  kHit,               // entry present, CRC and envelope verified
-  kMiss,              // no entry under this key
-  kCorruptEntry,      // stored bytes no longer hash to the entry CRC
-  kEnvelopeRejected,  // entry CRC fine but its PFCK blob fails the envelope
-};
+// Every way a cache read can end, one row per class (see obs/taxonomy.h).
+// Total: a lookup lands in exactly one class. The Diagnostic leg maps it
+// into the retry taxonomy: hits and misses are not failures (kOk: the
+// service either serves or recomputes); both corruption classes are
+// kCheckpointCorrupt — transient, because dropping the entry and
+// re-factoring always recovers.
+#define PFACT_CACHE_PROBE_ROWS(X)                                              \
+  X(kHit, "hit", kOk) /* entry present, CRC and envelope verified */           \
+  X(kMiss, "miss", kOk) /* no entry under this key */                          \
+  /* stored bytes no longer hash to the entry CRC */                           \
+  X(kCorruptEntry, "corrupt-entry", kCheckpointCorrupt)                        \
+  /* entry CRC fine but its PFCK blob fails the envelope */                    \
+  X(kEnvelopeRejected, "envelope-rejected", kCheckpointCorrupt)
+
+enum class CacheProbe { PFACT_CACHE_PROBE_ROWS(PFACT_ROW1_ID) };
+
+inline constexpr std::array kCacheProbeNames{
+    PFACT_CACHE_PROBE_ROWS(PFACT_ROW1_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kCacheProbeNames);
+inline constexpr std::array kCacheProbeDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_CACHE_PROBE_ROWS, PFACT_ROW1_LEG);
 
 inline const char* cache_probe_name(CacheProbe p) {
-  switch (p) {
-    case CacheProbe::kHit: return "hit";
-    case CacheProbe::kMiss: return "miss";
-    case CacheProbe::kCorruptEntry: return "corrupt-entry";
-    case CacheProbe::kEnvelopeRejected: return "envelope-rejected";
-  }
-  return "?";
+  return obs::row_or(kCacheProbeNames, p, "?");
 }
 
 // The sweepable taxonomy, for the cache test suite's coverage assertion.
 inline const std::vector<CacheProbe>& all_cache_probes() {
-  static const std::vector<CacheProbe> probes = {
-      CacheProbe::kHit, CacheProbe::kMiss, CacheProbe::kCorruptEntry,
-      CacheProbe::kEnvelopeRejected};
-  return probes;
+  return obs::sweep<CacheProbe, kCacheProbeNames.size()>();
 }
 
-// Maps probe outcomes into the retry taxonomy. Hits and misses are not
-// failures (kOk: the service either serves or recomputes); both corruption
-// classes are kCheckpointCorrupt — transient, because dropping the entry
-// and re-factoring always recovers.
 inline robustness::Diagnostic diagnose_cache_probe(CacheProbe p) {
-  switch (p) {
-    case CacheProbe::kHit: return robustness::Diagnostic::kOk;
-    case CacheProbe::kMiss: return robustness::Diagnostic::kOk;
-    case CacheProbe::kCorruptEntry:
-      return robustness::Diagnostic::kCheckpointCorrupt;
-    case CacheProbe::kEnvelopeRejected:
-      return robustness::Diagnostic::kCheckpointCorrupt;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return obs::row_or(kCacheProbeDiagnoses, p,
+                     robustness::Diagnostic::kInternalError);
 }
 
 // What a hit returns: the certified boolean, the substrate that certified

@@ -31,11 +31,12 @@
 //     exactly the ones a surviving shard can answer from cache. Partial
 //     failure degrades capacity, not availability of what is already warm.
 //
-// RouterStatus classifies every submit outcome (PL019 keeps the four legs
-// total, like FrontendStatus under PL012): routed, failed-over, shed, or
-// refused with every shard down. Zero unclassified endings is the --shard
-// soak's availability contract.
+// RouterStatus classifies every submit outcome, one row per ending like
+// FrontendStatus: routed, failed-over, shed, or refused with every shard
+// down. Zero unclassified endings is the --shard soak's availability
+// contract.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/retry.h"
@@ -56,62 +58,53 @@
 
 namespace pfact::serve {
 
-// Every way one routed submit can end. Total: a request either reaches its
-// home shard, fails over to a survivor, is shed by brownout admission, or
-// is refused because nothing is alive — there is no fifth ending.
-enum class RouterStatus {
-  kRouted,        // answered by the consistent-hash home shard
-  kFailedOver,    // answered by a survivor after the home shard failed
-  kBrownoutShed,  // fresh work refused while degraded (classified, retryable)
-  kAllShardsDown, // no shard could take it: the full-outage refusal
-};
+// Every way one routed submit can end, one row per ending (see
+// obs/taxonomy.h). Total: a request either reaches its home shard, fails
+// over to a survivor, is shed by brownout admission, or is refused because
+// nothing is alive — there is no fifth ending. The Diagnostic leg is what
+// the caller's retry table should think happened: both shed shapes are
+// transient — brownouts clear when the dead shard restarts, and a full
+// outage clears when any restart lands — so a client retrying with backoff
+// eventually gets through; neither is ever fatal. The counter leg makes shed
+// rate and failover rate readable straight off the counter snapshot.
+#define PFACT_ROUTER_STATUS_ROWS(X)                                            \
+  /* answered by the consistent-hash home shard */                             \
+  X(kRouted, "routed", kOk, kRouterRoutes)                                     \
+  /* answered by a survivor after the home shard failed */                     \
+  X(kFailedOver, "failed-over", kOk, kRouterFailovers)                         \
+  /* fresh work refused while degraded (classified, retryable) */              \
+  X(kBrownoutShed, "brownout-shed", kOverloaded, kRouterBrownoutSheds)         \
+  /* no shard could take it: the full-outage refusal */                        \
+  X(kAllShardsDown, "all-shards-down", kConnReset, kRouterAllShardsDown)
+
+enum class RouterStatus { PFACT_ROUTER_STATUS_ROWS(PFACT_ROW2_ID) };
+
+inline constexpr std::array kRouterStatusNames{
+    PFACT_ROUTER_STATUS_ROWS(PFACT_ROW2_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kRouterStatusNames);
+inline constexpr std::size_t kNumRouterStatuses = kRouterStatusNames.size();
+inline constexpr std::array kRouterStatusDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_ROUTER_STATUS_ROWS, PFACT_ROW2_DIAGNOSTIC);
+inline constexpr std::array kRouterStatusCounters = PFACT_TAXONOMY_LEGS(
+    obs::Counter, PFACT_ROUTER_STATUS_ROWS, PFACT_ROW2_COUNTER);
 
 inline const char* router_status_name(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return "routed";
-    case RouterStatus::kFailedOver: return "failed-over";
-    case RouterStatus::kBrownoutShed: return "brownout-shed";
-    case RouterStatus::kAllShardsDown: return "all-shards-down";
-  }
-  return "?";
+  return obs::row_or(kRouterStatusNames, s, "?");
 }
 
 // The sweepable taxonomy, for the --shard soak's coverage contract.
 inline const std::vector<RouterStatus>& all_router_statuses() {
-  static const std::vector<RouterStatus> statuses = {
-      RouterStatus::kRouted, RouterStatus::kFailedOver,
-      RouterStatus::kBrownoutShed, RouterStatus::kAllShardsDown};
-  return statuses;
+  return obs::sweep<RouterStatus, kNumRouterStatuses>();
 }
 
-// What the caller's retry table should think happened. Both shed shapes are
-// transient — brownouts clear when the dead shard restarts, and a full
-// outage clears when any restart lands — so a client retrying with backoff
-// eventually gets through; neither is ever fatal.
 inline robustness::Diagnostic diagnose_router_status(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return robustness::Diagnostic::kOk;
-    case RouterStatus::kFailedOver: return robustness::Diagnostic::kOk;
-    case RouterStatus::kBrownoutShed:
-      return robustness::Diagnostic::kOverloaded;
-    case RouterStatus::kAllShardsDown:
-      return robustness::Diagnostic::kConnReset;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return obs::row_or(kRouterStatusDiagnoses, s,
+                     robustness::Diagnostic::kInternalError);
 }
 
-// Monitoring leg: one counter per ending, so shed rate and failover rate
-// are readable straight off the counter snapshot.
 inline obs::Counter router_status_counter(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return obs::Counter::kRouterRoutes;
-    case RouterStatus::kFailedOver: return obs::Counter::kRouterFailovers;
-    case RouterStatus::kBrownoutShed:
-      return obs::Counter::kRouterBrownoutSheds;
-    case RouterStatus::kAllShardsDown:
-      return obs::Counter::kRouterAllShardsDown;
-  }
-  return obs::Counter::kRouterAllShardsDown;
+  return obs::row_or(kRouterStatusCounters, s,
+                     obs::Counter::kRouterAllShardsDown);
 }
 
 struct RouterOptions {
@@ -191,7 +184,8 @@ class ShardRouter {
 
   struct Stats {
     std::uint64_t submits = 0;
-    std::uint64_t by_status[4] = {0, 0, 0, 0};  // indexed by RouterStatus
+    // Submits ended in each RouterStatus, indexable by enumerator.
+    std::array<std::uint64_t, kNumRouterStatuses> by_status{};
     std::uint64_t failover_hops = 0;   // total extra shards walked
     std::uint64_t restarts = 0;        // shard respawns
     std::uint64_t evictions = 0;       // SIGKILLs for missed probes
@@ -199,7 +193,7 @@ class ShardRouter {
     std::uint64_t probe_failures = 0;  // heartbeats unanswered
     // ShardStatus states ever observed (indexed by ShardStatus) — the
     // --shard soak's taxonomy-coverage sweep reads this.
-    std::uint64_t shard_status_seen[5] = {0, 0, 0, 0, 0};
+    std::array<std::uint64_t, kNumShardStatuses> shard_status_seen{};
     // Cache-locality numerator/denominator: answered-by-home vs answered.
     std::uint64_t answered = 0;
     std::uint64_t answered_by_home = 0;

@@ -13,84 +13,74 @@
 // it never shares.
 //
 // ShardStatus is the router's view of one shard's lifecycle, and it is a
-// closed taxonomy in the FrontendStatus mold — named, diagnosed, counted,
-// and swept (pfact_lint rule PL019 keeps the four legs total). A status the
-// router could observe but not classify would be exactly the silent
-// fallthrough this repo's taxonomies exist to prevent.
+// closed taxonomy in the FrontendStatus mold — each state's row names it,
+// diagnoses it and counts it, and the sweep is generated from the rows. A
+// status the router could observe but not classify would be exactly the
+// silent fallthrough this repo's taxonomies exist to prevent.
 
+#include <array>
 #include <chrono>
 #include <string>
 #include <sys/types.h>
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "robustness/diagnostics.h"
 #include "serve/queue.h"
 
 namespace pfact::serve {
 
-// The router's view of one shard's lifecycle. Total: at any instant a shard
-// is in exactly one state, and every state transition is counted.
-enum class ShardStatus {
-  kStarting,      // forked; socket not yet probed healthy
-  kServing,       // last heartbeat probe acked within its deadline
-  kUnresponsive,  // probe deadline expired: evicted with SIGKILL (bulkhead)
-  kDead,          // reaped by waitpid; death classified via WorkerExit
-  kRestarting,    // waiting out the seeded restart backoff before respawn
-};
+// The router's view of one shard's lifecycle, one row per state (see
+// obs/taxonomy.h). Total: at any instant a shard is in exactly one state.
+// The Diagnostic leg is what a request that needs this shard should think
+// happened. Every non-serving state is a transient property of the moment —
+// a booting, wedged, dead, or backing-off shard recovers (or its traffic
+// fails over) — so each maps to a retryable diagnostic, never a fatal one.
+// The counter leg is bumped on every transition into the state, so a
+// restart storm or a flapping shard is visible in the counter snapshot, not
+// just in the router's logs.
+#define PFACT_SHARD_STATUS_ROWS(X)                                             \
+  /* forked; socket not yet probed healthy */                                  \
+  X(kStarting, "starting", kConnReset, kShardStarting)                         \
+  /* last heartbeat probe acked within its deadline */                         \
+  X(kServing, "serving", kOk, kShardServing)                                   \
+  /* probe deadline expired: evicted with SIGKILL (bulkhead) */                \
+  X(kUnresponsive, "unresponsive", kDeadlineExceeded, kShardUnresponsive)      \
+  /* reaped by waitpid; death classified via WorkerExit */                     \
+  X(kDead, "dead", kWorkerFailure, kShardDead)                                 \
+  /* waiting out the seeded restart backoff before respawn */                  \
+  X(kRestarting, "restarting", kConnReset, kShardRestarting)
+
+enum class ShardStatus { PFACT_SHARD_STATUS_ROWS(PFACT_ROW2_ID) };
+
+inline constexpr std::array kShardStatusNames{
+    PFACT_SHARD_STATUS_ROWS(PFACT_ROW2_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kShardStatusNames);
+inline constexpr std::size_t kNumShardStatuses = kShardStatusNames.size();
+inline constexpr std::array kShardStatusDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_SHARD_STATUS_ROWS, PFACT_ROW2_DIAGNOSTIC);
+inline constexpr std::array kShardStatusCounters = PFACT_TAXONOMY_LEGS(
+    obs::Counter, PFACT_SHARD_STATUS_ROWS, PFACT_ROW2_COUNTER);
 
 inline const char* shard_status_name(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return "starting";
-    case ShardStatus::kServing: return "serving";
-    case ShardStatus::kUnresponsive: return "unresponsive";
-    case ShardStatus::kDead: return "dead";
-    case ShardStatus::kRestarting: return "restarting";
-  }
-  return "?";
+  return obs::row_or(kShardStatusNames, s, "?");
 }
 
 // The sweepable taxonomy, for the --shard soak's full-coverage contract:
 // every state a shard can be in must actually be produced and survived by a
 // real campaign (kills, wedges, restart storms).
 inline const std::vector<ShardStatus>& all_shard_statuses() {
-  static const std::vector<ShardStatus> statuses = {
-      ShardStatus::kStarting, ShardStatus::kServing,
-      ShardStatus::kUnresponsive, ShardStatus::kDead,
-      ShardStatus::kRestarting};
-  return statuses;
+  return obs::sweep<ShardStatus, kNumShardStatuses>();
 }
 
-// What a request that needs this shard should think happened. Every
-// non-serving state is a transient property of the moment — a booting,
-// wedged, dead, or backing-off shard recovers (or its traffic fails over) —
-// so each maps to a retryable diagnostic, never a fatal one.
 inline robustness::Diagnostic diagnose_shard_status(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return robustness::Diagnostic::kConnReset;
-    case ShardStatus::kServing: return robustness::Diagnostic::kOk;
-    case ShardStatus::kUnresponsive:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case ShardStatus::kDead: return robustness::Diagnostic::kWorkerFailure;
-    case ShardStatus::kRestarting:
-      return robustness::Diagnostic::kConnReset;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return obs::row_or(kShardStatusDiagnoses, s,
+                     robustness::Diagnostic::kInternalError);
 }
 
-// Monitoring leg: each state transition bumps its own counter, so a restart
-// storm or a flapping shard is visible in the counter snapshot, not just in
-// the router's logs.
 inline obs::Counter shard_status_counter(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return obs::Counter::kShardStarting;
-    case ShardStatus::kServing: return obs::Counter::kShardServing;
-    case ShardStatus::kUnresponsive:
-      return obs::Counter::kShardUnresponsive;
-    case ShardStatus::kDead: return obs::Counter::kShardDead;
-    case ShardStatus::kRestarting: return obs::Counter::kShardRestarting;
-  }
-  return obs::Counter::kShardDead;
+  return obs::row_or(kShardStatusCounters, s, obs::Counter::kShardDead);
 }
 
 // Everything needed to fork (and re-fork, bit-identically) one shard.

@@ -40,8 +40,7 @@ bool to_backend(std::uint32_t v, robustness::Backend& out) {
 }
 
 bool to_fault(std::uint32_t v, robustness::FaultClass& out) {
-  if (v > static_cast<std::uint32_t>(robustness::FaultClass::kTornWrite))
-    return false;
+  if (v >= robustness::kNumFaultClasses) return false;
   out = static_cast<robustness::FaultClass>(v);
   return true;
 }
@@ -189,9 +188,7 @@ bool decode_result(std::string_view payload, robustness::RunReport& out) {
   ByteReader r(payload);
   robustness::RunReport rep;
   const std::uint32_t diag = r.get_u32();
-  // Bound tracks the LAST Diagnostic enumerator (append-only taxonomy).
-  if (diag > static_cast<std::uint32_t>(robustness::Diagnostic::kConnReset))
-    return false;
+  if (diag >= robustness::kNumDiagnostics) return false;
   rep.diagnostic = static_cast<robustness::Diagnostic>(diag);
   rep.value = r.get_u8() != 0;
   rep.algorithm = r.get_string();

@@ -35,9 +35,10 @@ volatile std::uintptr_t g_wild_address = 16;
       break;
     case KillPlan::Mode::kExit:
       ::_exit(kKillPlanExitCode);
-    case KillPlan::Mode::kSpin:
-      for (volatile std::uint64_t burn = 0;; ++burn) {
-      }
+    case KillPlan::Mode::kSpin: {
+      volatile std::uint64_t burn = 0;
+      for (;;) burn = burn + 1;
+    }
     case KillPlan::Mode::kNone:
       break;
   }

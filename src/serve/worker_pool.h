@@ -3,46 +3,57 @@
 // WorkerRun record one job produces, and the waitpid classification table
 // behind both.
 //
-// The classification is the pool's own taxonomy of HOW the process ended,
-// which the supervisor then maps into the robustness Diagnostic taxonomy
-// (diagnose_worker_exit in supervisor.h). Keeping the two taxonomies
-// separate keeps waitpid plumbing out of the retry/escalation logic.
+// The classification is the pool's own taxonomy of HOW the process ended;
+// each class's row also names the robustness Diagnostic it maps to
+// (diagnose_worker_exit). Keeping the two taxonomies separate keeps waitpid
+// plumbing out of the retry/escalation logic.
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "robustness/diagnostics.h"
 #include "serve/wire.h"
 
 namespace pfact::serve {
 
-// How a worker subprocess ended, from the supervisor's chair. Total: every
-// waitpid outcome lands in exactly one class (pfact_lint rule PL009 checks
-// that each class has a printable name, a Diagnostic mapping, and soak
-// coverage).
-enum class WorkerExit {
-  kCompleted,      // exit(0) AND a decodable result frame arrived
-  kNonzeroExit,    // exited by itself with a nonzero status
-  kSignalled,      // killed by a signal (SIGSEGV, SIGKILL, SIGABRT, ...)
-  kCpuLimit,       // terminated by SIGXCPU: the RLIMIT_CPU sandbox fired
-  kWatchdog,       // SIGKILLed by this pool's own watchdog deadline
-  kProtocolError,  // exited 0 but the result frame is missing or corrupt
-  kForkFailure,    // fork()/pipe() failed: no worker ever existed
-};
+// How a worker subprocess ended, from the supervisor's chair, one row per
+// class (see obs/taxonomy.h). Total: every waitpid outcome lands in exactly
+// one class. The Diagnostic leg is what the retry loop should think
+// happened: every death class lands on a *transient* diagnostic — a fresh
+// worker on the same substrate is always worth one more try, and the retry
+// budget bounds the attempts.
+#define PFACT_WORKER_EXIT_ROWS(X)                                              \
+  /* exit(0) AND a decodable result frame arrived; the result frame's own      \
+     diagnostic governs */                                                     \
+  X(kCompleted, "completed", kOk)                                              \
+  /* exited by itself with a nonzero status */                                 \
+  X(kNonzeroExit, "nonzero-exit", kWorkerFailure)                              \
+  /* killed by a signal (SIGSEGV, SIGKILL, SIGABRT, ...) */                    \
+  X(kSignalled, "signalled", kWorkerFailure)                                   \
+  /* terminated by SIGXCPU: the RLIMIT_CPU sandbox fired */                    \
+  X(kCpuLimit, "cpu-limit", kResourceExhausted)                                \
+  /* SIGKILLed by this pool's own watchdog deadline */                         \
+  X(kWatchdog, "watchdog", kDeadlineExceeded)                                  \
+  /* exited 0 but the result frame is missing or corrupt */                    \
+  X(kProtocolError, "protocol-error", kWorkerFailure)                          \
+  /* fork()/pipe() failed: no worker ever existed (out of pids/memory;         \
+     retry later) */                                                           \
+  X(kForkFailure, "fork-failure", kResourceExhausted)
+
+enum class WorkerExit { PFACT_WORKER_EXIT_ROWS(PFACT_ROW1_ID) };
+
+inline constexpr std::array kWorkerExitNames{
+    PFACT_WORKER_EXIT_ROWS(PFACT_ROW1_NAME)};
+PFACT_TAXONOMY_CHECK_NAMES(kWorkerExitNames);
+inline constexpr std::array kWorkerExitDiagnoses = PFACT_TAXONOMY_LEGS(
+    robustness::Diagnostic, PFACT_WORKER_EXIT_ROWS, PFACT_ROW1_LEG);
 
 inline const char* worker_exit_name(WorkerExit e) {
-  switch (e) {
-    case WorkerExit::kCompleted: return "completed";
-    case WorkerExit::kNonzeroExit: return "nonzero-exit";
-    case WorkerExit::kSignalled: return "signalled";
-    case WorkerExit::kCpuLimit: return "cpu-limit";
-    case WorkerExit::kWatchdog: return "watchdog";
-    case WorkerExit::kProtocolError: return "protocol-error";
-    case WorkerExit::kForkFailure: return "fork-failure";
-  }
-  return "?";
+  return obs::row_or(kWorkerExitNames, e, "?");
 }
 
 // The sweepable taxonomy, for the soak harness's coverage assertion (every
@@ -50,12 +61,12 @@ inline const char* worker_exit_name(WorkerExit e) {
 // by a real-kill campaign). kCompleted is included: a sweep that never
 // completes anything proves nothing.
 inline const std::vector<WorkerExit>& all_worker_exits() {
-  static const std::vector<WorkerExit> classes = {
-      WorkerExit::kCompleted,  WorkerExit::kNonzeroExit,
-      WorkerExit::kSignalled,  WorkerExit::kCpuLimit,
-      WorkerExit::kWatchdog,   WorkerExit::kProtocolError,
-      WorkerExit::kForkFailure};
-  return classes;
+  return obs::sweep<WorkerExit, kWorkerExitNames.size()>();
+}
+
+inline robustness::Diagnostic diagnose_worker_exit(WorkerExit e) {
+  return obs::row_or(kWorkerExitDiagnoses, e,
+                     robustness::Diagnostic::kInternalError);
 }
 
 // Classifies a reaped waitpid status into run.exit / exit_code /

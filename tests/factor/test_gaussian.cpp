@@ -32,6 +32,11 @@ struct StrategyCase {
   const char* name;
 };
 
+// Without this gtest prints the raw object bytes (padding and the `name`
+// pointer), which change from build to build and leak into the test names
+// that gtest_discover_tests registers with ctest.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
 class GeStrategyTest : public ::testing::TestWithParam<StrategyCase> {};
 
 TEST_P(GeStrategyTest, ReconstructsRandomNonsingular) {

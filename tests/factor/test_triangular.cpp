@@ -6,6 +6,13 @@
 #include "numeric/rational.h"
 
 namespace pfact::factor {
+
+// Prints the strategy by name. Without it gtest prints the enum's raw bytes
+// into the test names that gtest_discover_tests registers with ctest.
+void PrintTo(PivotStrategy s, std::ostream* os) {
+  *os << pivot_strategy_name(s);
+}
+
 namespace {
 
 using numeric::Rational;

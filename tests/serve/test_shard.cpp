@@ -82,7 +82,7 @@ bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
   return true;
 }
 
-// --- taxonomy totality (the four legs, runtime half of PL019) --------------
+// --- taxonomy totality (the four legs of every row) -------------------------
 
 TEST(ShardTaxonomy, EveryShardStatusHasAllFourLegs) {
   ASSERT_EQ(all_shard_statuses().size(), 5u);

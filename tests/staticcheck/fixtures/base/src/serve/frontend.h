@@ -1,73 +1,10 @@
 #pragma once
-// Fixture copy of the FrontendStatus taxonomy surface PL012 scrapes: the
-// enum plus its four legs — name, Diagnostic mapping, obs counter, sweep.
-// Trimmed to what the rule reads; the real header carries the listener too.
-
-#include <vector>
+// staticcheck fixture: a status row list whose counter leg is the only
+// increment site of Counter::kFrontendAccepted. Not compiled — parsed only.
 
 namespace pfact::serve {
 
-enum class FrontendStatus {
-  kAccepted,
-  kMalformedFrame,
-  kDeadline,
-  kConnReset,
-  kOverloaded,
-  kDraining,
-};
-
-inline const char* frontend_status_name(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return "accepted";
-    case FrontendStatus::kMalformedFrame: return "malformed-frame";
-    case FrontendStatus::kDeadline: return "deadline";
-    case FrontendStatus::kConnReset: return "conn-reset";
-    case FrontendStatus::kOverloaded: return "overloaded";
-    case FrontendStatus::kDraining: return "draining";
-  }
-  return "?";
-}
-
-inline const std::vector<FrontendStatus>& all_frontend_statuses() {
-  static const std::vector<FrontendStatus> statuses = {
-      FrontendStatus::kAccepted,   FrontendStatus::kMalformedFrame,
-      FrontendStatus::kDeadline,   FrontendStatus::kConnReset,
-      FrontendStatus::kOverloaded, FrontendStatus::kDraining};
-  return statuses;
-}
-
-inline robustness::Diagnostic diagnose_frontend_status(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return robustness::Diagnostic::kOk;
-    case FrontendStatus::kMalformedFrame:
-      return robustness::Diagnostic::kBadInput;
-    case FrontendStatus::kDeadline:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case FrontendStatus::kConnReset:
-      return robustness::Diagnostic::kConnReset;
-    case FrontendStatus::kOverloaded:
-      return robustness::Diagnostic::kOverloaded;
-    case FrontendStatus::kDraining:
-      return robustness::Diagnostic::kCancelled;
-  }
-  return robustness::Diagnostic::kInternalError;
-}
-
-inline obs::Counter frontend_status_counter(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return obs::Counter::kFrontendAccepted;
-    case FrontendStatus::kMalformedFrame:
-      return obs::Counter::kFrontendMalformed;
-    case FrontendStatus::kDeadline:
-      return obs::Counter::kFrontendDeadlineEvictions;
-    case FrontendStatus::kConnReset:
-      return obs::Counter::kFrontendConnResets;
-    case FrontendStatus::kOverloaded:
-      return obs::Counter::kFrontendOverloadSheds;
-    case FrontendStatus::kDraining:
-      return obs::Counter::kFrontendDrainRefusals;
-  }
-  return obs::Counter::kFrontendMalformed;
-}
+#define PFACT_FRONTEND_STATUS_ROWS(X) \
+  X(kAccepted, "accepted", kOk, kFrontendAccepted)
 
 }  // namespace pfact::serve

@@ -10,6 +10,7 @@ void covers_the_taxonomy() {
   const CounterDelta d = sc.delta();
   EXPECT_GT(d[Counter::kElimSteps], 0u);
   EXPECT_GT(d[Counter::kRowUpdates], 0u);
+  EXPECT_GT(d[Counter::kFrontendAccepted], 0u);
   EXPECT_GT(d.histogram_total(Histogram::kPivotMoveDistance), 0u);
 }
 

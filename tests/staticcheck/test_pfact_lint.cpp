@@ -41,11 +41,14 @@ LintResult run_lint(const std::string& args) {
 }
 
 // Materializes base/ plus the named overlay into a fresh temp tree and
-// returns its path.
+// returns its path. The tree is private to the running test: ctest -j runs
+// tests that share an overlay at the same time.
 fs::path materialize(const std::string& overlay) {
   const fs::path fixtures(PFACT_LINT_FIXTURES);
-  const fs::path dst =
-      fs::path(testing::TempDir()) / ("pfact_lint_" + overlay);
+  const std::string test =
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  const fs::path dst = fs::path(testing::TempDir()) /
+                       ("pfact_lint_" + test + "_" + overlay);
   fs::remove_all(dst);
   fs::copy(fixtures / "base", dst, fs::copy_options::recursive);
   if (!overlay.empty() && overlay != "base") {
@@ -79,24 +82,6 @@ TEST(PfactLint, RepositoryHeadIsClean) {
   EXPECT_EQ(res.exit_code, 0) << res.output;
 }
 
-TEST(PfactLint, UnnamedCounterFailsPL001) {
-  expect_violation("unnamed_counter", "PL001", "Counter::kRowUpdates");
-}
-
-TEST(PfactLint, NameCollisionFailsPL002) {
-  expect_violation("name_collision", "PL002", "elim-steps");
-}
-
-TEST(PfactLint, UnhandledFaultClassFailsPL004) {
-  expect_violation("unhandled_fault_class", "PL004",
-                   "FaultClass::kRoundingFlip");
-}
-
-TEST(PfactLint, UnclassifiedDiagnosticFailsPL005) {
-  expect_violation("unclassified_diagnostic", "PL005",
-                   "Diagnostic::kMystery");
-}
-
 TEST(PfactLint, DuplicateCheckpointTagFailsPL006) {
   const fs::path root = materialize("duplicate_checkpoint_tag");
   const LintResult res = run_lint("--root " + root.string());
@@ -114,50 +99,6 @@ TEST(PfactLint, StaleVersionFailsPL007) {
 
 TEST(PfactLint, OutdatedManifestFailsPL008) {
   expect_violation("outdated_manifest", "PL008", "--update-manifest");
-}
-
-TEST(PfactLint, UnmappedWorkerExitFailsPL009) {
-  expect_violation("unmapped_worker_exit", "PL009", "WorkerExit::kMystery");
-}
-
-TEST(PfactLint, UnsweptWorkerExitFailsPL009) {
-  const fs::path root = materialize("unswept_worker_exit");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL009"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("all_worker_exits"), std::string::npos)
-      << res.output;
-  // kMystery IS named and diagnosed in this overlay, so the sweep gap is
-  // the only finding — the rule localizes, not shotgun-blasts.
-  EXPECT_EQ(res.output.find("diagnose_worker_exit()"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnmappedAdmissionFailsPL010) {
-  const fs::path root = materialize("unmapped_admission");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL010"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("Admission::kShedShutdown"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("diagnose_admission"), std::string::npos)
-      << res.output;
-  // kShedShutdown IS named and swept in this overlay: one finding only.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnsweptCacheProbeFailsPL010) {
-  const fs::path root = materialize("unswept_cache_probe");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL010"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("CacheProbe::kEnvelopeRejected"),
-            std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_cache_probes"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 
 TEST(PfactLint, UnsweptSparseTagFailsPL011) {
@@ -186,36 +127,6 @@ TEST(PfactLint, OrphanSparseTagFailsPL011) {
   // The fixture manifest includes sparse-int and the orphan is swept, so
   // the missing dense counterpart is the only finding.
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UncountedFrontendStatusFailsPL012) {
-  const fs::path root = materialize("uncounted_frontend_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL012"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("FrontendStatus::kDraining"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("frontend_status_counter"), std::string::npos)
-      << res.output;
-  // kDraining IS named, diagnosed, and swept in this overlay: the missing
-  // counter is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnsweptFrontendStatusFailsPL012) {
-  const fs::path root = materialize("unswept_frontend_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL012"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("FrontendStatus::kConnReset"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_frontend_statuses"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnnamedHistogramFailsPL003) {
-  expect_violation("unnamed_histogram", "PL003", "Histogram::kSpread");
 }
 
 TEST(PfactLint, CodecWidthMismatchFailsPL013) {
@@ -302,8 +213,8 @@ TEST(PfactLint, DeadCounterFailsPL017) {
       << res.output;
   EXPECT_NE(res.output.find("not asserted or recorded"), std::string::npos)
       << res.output;
-  // Fully registered (enum + name case): PL001/PL002 stay quiet and the
-  // dead counter is the only finding, located in the enum header.
+  // Fully registered (it has a row): the dead counter is the only finding,
+  // located at its row in the counter header.
   EXPECT_NE(res.output.find("src/obs/counters.h:"), std::string::npos)
       << res.output;
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
@@ -332,34 +243,6 @@ TEST(PfactLint, StaleBackoffWaiverFailsPL018) {
       << res.output;
   // The fixture client.cpp has neither raw syscalls nor the PL014-waived
   // functions, so the stale PL018 entry is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnsweptShardStatusFailsPL019) {
-  const fs::path root = materialize("unswept_shard_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL019"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("ShardStatus::kUnresponsive"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_shard_statuses"), std::string::npos)
-      << res.output;
-  // kUnresponsive IS named, diagnosed, and counted in this overlay, and the
-  // RouterStatus taxonomy is untouched: the sweep gap is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UncountedRouterStatusFailsPL019) {
-  const fs::path root = materialize("uncounted_router_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL019"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("RouterStatus::kBrownoutShed"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("router_status_counter"), std::string::npos)
-      << res.output;
-  // kBrownoutShed IS named, diagnosed, and swept in this overlay: the
-  // missing counter is the only finding.
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 

@@ -18,7 +18,7 @@
 namespace pfact_lint {
 
 struct Finding {
-  std::string rule;     // "PL001"
+  std::string rule;     // "PL006"
   std::string slug;     // "counter-unnamed"
   std::string message;  // what and why
   std::string file;     // repo-relative location, empty for tree-wide rules

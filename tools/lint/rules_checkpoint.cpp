@@ -4,14 +4,53 @@
 // state, and the sparse tag namespace is derived from the dense one.
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
 
 #include "lint/rules.h"
-#include "lint/scrape.h"
 
 namespace pfact_lint {
+
+namespace {
+
+// The brace-matched body of the function named `name`: the text between the
+// '{' that opens its definition and the matching '}'. A definition site is
+// an occurrence of `name` that is a whole token, is followed by '(', and
+// reaches a '{' before any ';' (which would make it a declaration or a
+// call). Empty when no such body is found. String/char literals in the
+// checked file never contain braces, so plain counting is sufficient.
+std::string function_body(const std::string& src, const std::string& name) {
+  auto is_ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  for (std::size_t at = src.find(name); at != std::string::npos;
+       at = src.find(name, at + 1)) {
+    if (at > 0 && is_ident(src[at - 1])) continue;
+    std::size_t after = at + name.size();
+    while (after < src.size() &&
+           std::isspace(static_cast<unsigned char>(src[after]))) {
+      ++after;
+    }
+    if (after >= src.size() || src[after] != '(') continue;
+    const std::size_t open = src.find('{', after);
+    const std::size_t semi = src.find(';', after);
+    if (open == std::string::npos || (semi != std::string::npos && semi < open))
+      continue;
+    int depth = 0;
+    for (std::size_t i = open; i < src.size(); ++i) {
+      if (src[i] == '{') ++depth;
+      if (src[i] == '}' && --depth == 0) {
+        return src.substr(open, i - open + 1);
+      }
+    }
+    return std::string();
+  }
+  return std::string();
+}
+
+}  // namespace
 
 // PL006: duplicate tags (checked before sorting loses multiplicity).
 void check_tag_uniqueness(Context& ctx, const CheckpointSchema& schema) {

@@ -5,17 +5,22 @@
 // by its kebab name), because an unasserted counter silently rots: the
 // instrumentation it summarizes can break and no lane goes red.
 //
-// The increment leg deliberately excludes src/obs/counters.{h,cpp}: the
-// enum definition and the name switch mention every enumerator by
-// construction and prove nothing about liveness.
+// The registered enumerators and their kebab names are read from the
+// PFACT_COUNTER_ROWS / PFACT_HISTOGRAM_ROWS row lists in src/obs/counters.h.
+// The increment leg deliberately excludes that file: the row lists mention
+// every enumerator by construction and prove nothing about liveness. A
+// counter named as the counter leg of a status row elsewhere in src/ (the
+// `X(id, "name", diagnostic, counter)` shape) counts as incremented: its
+// *_status_counter function is what the status's owner bumps.
 
-#include <map>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lint/rules.h"
-#include "lint/scrape.h"
 
 namespace pfact_lint {
 
@@ -32,48 +37,61 @@ int line_of_first(const std::string& text, const std::string& ident) {
   return line;
 }
 
-// Enumerators bumped in `text`: macro call sites and qualified mentions.
+// Enumerators bumped in `text`: macro call sites, qualified mentions and
+// the counter legs of status rows.
 void collect_increments(const std::string& text, std::set<std::string>& out) {
   static const std::regex bump(
-      R"((?:PFACT_COUNT|PFACT_COUNT_N|PFACT_HISTO)\s*\(\s*(k\w+)|(?:Counter|Histogram)::(k\w+))");
+      R"((?:PFACT_COUNT|PFACT_COUNT_N|PFACT_HISTO)\s*\(\s*(k\w+))"
+      R"(|(?:Counter|Histogram)::(k\w+))"
+      R"re(|X\(\s*k\w+\s*,\s*"[^"]*"\s*,\s*k\w+\s*,\s*(k\w+)\s*\))re");
   for (auto it = std::sregex_iterator(text.begin(), text.end(), bump);
        it != std::sregex_iterator(); ++it) {
-    const std::string id = (*it)[1].matched ? (*it)[1].str() : (*it)[2].str();
-    out.insert(id);
+    for (int group = 1; group <= 3; ++group) {
+      if ((*it)[group].matched) out.insert((*it)[group].str());
+    }
   }
+}
+
+// The (enumerator, kebab name) rows of `#define <macro>(X)` in `text`, up
+// to the first line the macro does not continue past.
+std::vector<std::pair<std::string, std::string>> parse_rows(
+    const std::string& text, const std::string& macro) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  const std::size_t at = text.find("#define " + macro + "(X)");
+  if (at == std::string::npos) return rows;
+  static const std::regex row(R"re(X\(\s*(k\w+)\s*,\s*"([^"]*)"\s*\))re");
+  std::istringstream lines(text.substr(at));
+  std::string line;
+  while (std::getline(lines, line)) {
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), row);
+         it != std::sregex_iterator(); ++it) {
+      rows.emplace_back((*it)[1].str(), (*it)[2].str());
+    }
+    const std::size_t last = line.find_last_not_of(" \t\r");
+    if (last == std::string::npos || line[last] != '\\') break;
+  }
+  return rows;
 }
 
 }  // namespace
 
 void check_counter_liveness(Context& ctx) {
-  const SourceFile* counters = ctx.file("src/obs/counters.h");
-  if (counters == nullptr) return;  // check_obs_names already flags this
+  const std::string& counters = ctx.scrub("src/obs/counters.h");
+  if (counters.empty()) return;
 
   struct Taxon {
     const char* enum_name;
-    const char* name_fn;
+    const char* rows_macro;
   };
-  static const Taxon kTaxa[] = {{"Counter", "counter_name"},
-                                {"Histogram", "histogram_name"}};
+  static const Taxon kTaxa[] = {{"Counter", "PFACT_COUNTER_ROWS"},
+                                {"Histogram", "PFACT_HISTOGRAM_ROWS"}};
 
-  // Kebab names from the name switches (for the observed leg).
-  std::map<std::string, std::string> kebab;  // enumerator -> name
-  const SourceFile* impl = ctx.file("src/obs/counters.cpp");
-  if (impl != nullptr) {
-    for (const Taxon& t : kTaxa) {
-      for (const auto& [id, expr] : parse_switch_returns(
-               function_body(impl->scrub, t.name_fn), t.enum_name)) {
-        if (const auto q = quoted(expr)) kebab[id] = *q;
-      }
-    }
-  }
-
-  // Increment leg: src/ (minus the definition files) plus bench/ sources.
+  // Increment leg: src/ (minus the row lists) plus bench/ sources.
   std::set<std::string> incremented;
   for (const auto& [rel, file] : ctx.tree.files) {
-    if (rel == "src/obs/counters.h" || rel == "src/obs/counters.cpp")
-      continue;
-    collect_increments(file.scrub, incremented);
+    if (rel != "src/obs/counters.h") {
+      collect_increments(file.scrub, incremented);
+    }
   }
   for (const auto& [rel, text] : ctx.tree.aux_texts) {
     if (rel.rfind("bench/", 0) == 0) collect_increments(text, incremented);
@@ -96,12 +114,16 @@ void check_counter_liveness(Context& ctx) {
   }
 
   for (const Taxon& t : kTaxa) {
-    for (const std::string& id : parse_enum(counters->scrub, t.enum_name)) {
+    const auto rows = parse_rows(counters, t.rows_macro);
+    if (rows.empty()) {
+      ctx.report("PL017", "counter-dead",
+                 std::string(t.rows_macro) +
+                     " row list not found in src/obs/counters.h");
+    }
+    for (const auto& [id, name] : rows) {
       const bool inc = incremented.count(id) != 0;
-      const auto name = kebab.find(id);
       const bool obs =
-          observed_ids.count(id) != 0 ||
-          (name != kebab.end() && observed_names.count(name->second) != 0);
+          observed_ids.count(id) != 0 || observed_names.count(name) != 0;
       if (inc && obs) continue;
       std::string what;
       if (!inc) {
@@ -115,7 +137,7 @@ void check_counter_liveness(Context& ctx) {
             "can silently rot";
       }
       ctx.report_at("PL017", "counter-dead", "src/obs/counters.h",
-                    line_of_first(counters->scrub, id),
+                    line_of_first(counters, id),
                     std::string(t.enum_name) + "::" + id + " " + what);
     }
   }

@@ -12,12 +12,11 @@
 // Two views of every file are maintained:
 //   * tokens  — the token stream, for structural rules (PL013–PL017)
 //   * scrub   — the raw text with comments blanked to spaces (newlines and
-//               string literals preserved), for the line-oriented scrapers
-//               the PL001–PL012 port runs (see scrape.h)
+//               string literals preserved), for the line-oriented rules
+//               (PL006–PL008, PL011, and PL017's row lists)
 //
 // Nothing here links against the pfact library: the linter must keep
-// working when the library itself fails to compile, which is exactly when a
-// taxonomy drifted.
+// working when the library itself fails to compile.
 
 #include <cstddef>
 #include <map>
