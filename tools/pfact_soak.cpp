@@ -1,112 +1,83 @@
-// Supervised chaos soak for the resilient execution engine.
+// Supervised chaos soak: seeded fault campaigns against the four reductions
+// (GEM / GEMS / GEP / GQR, plus the bordered nonsingular GEM) and every
+// serving layer above them, asserting the one non-negotiable property: ZERO
+// WRONG ANSWERS. Every campaign must end either certified-correct (the
+// decoded boolean matches the direct circuit evaluation AND the task's
+// ground truth) or as a classified failure — a campaign that certifies the
+// wrong boolean fails the whole soak immediately and dumps its evidence.
 //
-// Replays randomized-but-deterministic fault campaigns against the four
-// reductions (GEM / GEMS / GEP / GQR, plus the bordered nonsingular GEM)
-// through robustness::resilient_run and asserts the engine's one
-// non-negotiable property: ZERO WRONG ANSWERS. Every campaign must end
-// either certified-correct (the decoded boolean matches the direct circuit
-// evaluation AND the task's ground truth) or as a classified terminal
-// failure — a campaign that certifies the wrong boolean fails the whole
-// soak immediately and dumps its evidence.
+// One runner drives every mode. It seeds each campaign's stream from (seed,
+// campaign), picks the campaign's shape from the mode's table, keeps one
+// ledger, writes one log line per campaign, sends every violation through
+// one fail path (log, --fail-dir dump, checkpoint blobs), checks the mode's
+// end-of-soak contracts, and prints one summary and one verdict. A mode is a
+// fixture (what it builds), a table of named shapes (one campaign each) and
+// a list of end-of-soak contracts:
 //
-// Campaign shapes, selected per-campaign from the seed stream:
-//   fault-sweep  — one FaultClass injected persistently on every attempt;
-//                  the ladder must detect it on every rung it survives to.
-//   flip-ladder  — kRoundingFlip against a ladder that STARTS on SoftFloat
-//                  (where the flip is visible): transient retries exhaust,
-//                  then escalation to exact rationals certifies the value.
-//   preemption   — a step budget smaller than the factorization, with
-//                  checkpointing: every attempt is killed mid-run and the
-//                  next one resumes from the last snapshot, so the task
-//                  finishes by accumulated progress across kills.
-//   torn-write   — preemption plus kTornWrite: the first snapshot of an
-//                  attempt is corrupted at save time; resume must reject it
-//                  (CRC / truncation), drop it, and recover from an intact
-//                  earlier snapshot or from scratch.
-//   kill-resume  — explicit crash/resume equivalence: kill a checkpointing
-//                  run at a boundary, hand the surviving store to a fresh
-//                  engine call, and require the SAME decoded boolean and
-//                  the SAME pivot trace, event for event, as an
-//                  uninterrupted baseline.
+//   default      resilient_run in process; shapes drawn from the stream:
+//                fault-sweep, flip-ladder, preemption, torn-write and
+//                kill-resume (crash/resume equivalence against an
+//                uninterrupted baseline, value AND pivot trace).
+//   --kill-only  supervised_run on a one-slot WarmPool; every campaign
+//                really destroys its first worker (SIGKILL, a genuine
+//                wild-store SIGSEGV, a nonzero _exit, the RLIMIT_CPU
+//                sandbox's SIGXCPU, or the supervisor's watchdog), and the
+//                successor, seeded from the checkpoints the victim streamed
+//                before dying, must certify. Contract: WorkerExit coverage.
+//   --serve      the warm-worker ReductionService under concurrent clients:
+//                the same five kills as service jobs, overload bursts that
+//                MUST shed classified kShedQueueFull refusals, and deadline
+//                expiries that MUST shed as kShedDeadline. Contracts:
+//                WorkerExit coverage, the pool at full strength, at least
+//                one genuine cache hit.
+//   --net        a Frontend on a temp Unix socket in front of the service:
+//                the five NetFault sabotages, connection-bound overload, a
+//                clean cached repeat, and a final graceful drain. Contracts:
+//                FULL FrontendStatus coverage, the pool at full strength.
+//   --shard      a ShardRouter over three forked shard processes, built
+//                beside a live unsharded baseline service: clean routing,
+//                SIGKILL and SIGSEGV of the home shard, a SIGSTOP wedge the
+//                probe deadline must evict, a brownout shed-then-admit cycle
+//                and a full-fleet kill. Every fresh answer must match the
+//                baseline bit for bit, value AND pivot trace. Contracts:
+//                every submit classified as exactly one RouterStatus (the
+//                ledger sums), full ShardStatus AND RouterStatus coverage, a
+//                cache-locality floor.
 //
-// With --kill-only the soak switches to REAL-kill campaigns through the
-// serve/ process-isolation layer: every attempt runs in an rlimit-sandboxed
-// worker leased from a one-slot WarmPool, and the victim is actually
-// destroyed (the kill plan also retires its slot) — SIGKILL, a genuine
-// wild-store SIGSEGV, a nonzero _exit, the RLIMIT_CPU sandbox's SIGXCPU, or
-// the supervisor's watchdog — and the campaign must still end certified
-// with the ground-truth boolean (the successor worker is seeded from the
-// checkpoints the victim streamed over the pipe before dying). The kill-only
-// soak additionally certifies COVERAGE: every WorkerExit class except
-// kProtocolError and kForkFailure must be produced and survived at least
-// once (protocol errors need a corrupted-but-exit-0 worker that no
-// supported KillPlan produces, and fork exhaustion cannot be staged on
-// demand; tests/serve covers both with hand-built frames and the fork
-// injection seam).
-//
-// With --serve the soak drives the full warm-worker ReductionService
-// instead: concurrent clients push jobs through admission control onto the
-// pre-forked pool, with real kill schedules riding on individual jobs,
-// overload bursts that MUST shed classified kShedQueueFull refusals,
-// deadline-expired jobs that MUST shed as kShedDeadline, and the verified
-// result cache serving repeats. Contracts: zero wrong answers (cached or
-// fresh), every shed classified (never a silent drop), every killed warm
-// worker respawned (the pool ends at full strength), full WorkerExit
-// coverage (same two exclusions as kill-only), and at least one genuine
-// cache hit.
-//
-// With --net the soak attacks the socket FRONT END: a Frontend listening on
-// a temp Unix socket fronts the warm-worker service, and client submissions
-// are sabotaged with every NetFaultPlan shape — torn frames, mid-header
-// closes, byte-dribbles, slowloris stalls, garbage preambles — plus
-// connection-bound overloads and a final graceful drain. Contracts: zero
-// wrong answers (every submission that survives its fault decodes the
-// ground-truth boolean), every conversation ending classified as exactly
-// one FrontendStatus, FULL FrontendStatus coverage across the campaign set,
-// and the warm pool intact at the end.
-//
-// With --shard the soak attacks the sharded self-healing router: a
-// ShardRouter over three forked shard processes (each a private
-// ReductionService behind its own Unix socket) takes consistent-hash-routed
-// traffic while campaigns SIGKILL and SIGSEGV home shards mid-stream, wedge
-// shards with SIGSTOP until the probe deadline evicts them, stage brownout
-// entry/exit (fresh keys shed as classified kOverloaded while warm keys
-// keep answering), and kill the whole fleet at once to force the
-// all-shards-down refusal and a restart storm. Contracts: zero wrong
-// answers — every fresh certified answer matches an unsharded baseline
-// service bit for bit, value AND pivot trace; every submit classified as
-// exactly one RouterStatus (the ledger must sum); full ShardStatus AND
-// RouterStatus coverage; the fleet back at full serving strength after
-// every campaign; and a cache-locality floor (at least a quarter of
-// answers come from the consistent-hash home shard despite the chaos).
+// Coverage contracts need one full rotation of the mode's shapes.
 //
 // Usage: pfact_soak [--campaigns N] [--seed S] [--log FILE]
-//                   [--fail-dir DIR] [--kill-only] [--serve] [--net]
-//                   [--shard] [--inject-violation N] [--verbose]
+//                   [--fail-dir DIR] [--kill-only | --serve | --net | --shard]
+//                   [--inject-violation N] [--verbose]
 //
-// Exit code 0 iff every campaign held the contract; any violation exits
-// nonzero and prints the campaign seed so the run can be replayed.
-// --inject-violation N fabricates a violation at campaign N — the
-// regression seam proving the violation exit path stays wired. The log file
-// (one line per campaign) and any failing checkpoint blobs (--fail-dir)
-// are the CI artifacts.
+// Exit code 0 iff every campaign and contract held; any violation exits 1
+// and prints the seed so the run can be replayed; bad usage exits 2.
+// --inject-violation N fabricates a violation at campaign N — the regression
+// seam proving the violation exit path stays wired. The log file (one line
+// per campaign) and the --fail-dir dumps are the CI artifacts.
 
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/builders.h"
@@ -130,15 +101,14 @@ using namespace pfact::robustness;
 
 namespace {
 
+enum class Mode { kFault, kKill, kServe, kNet, kShard };
+
 struct Options {
   std::size_t campaigns = 200;
   std::uint64_t seed = 1;
   std::string log_path = "soak_log.txt";
   std::string fail_dir;
-  bool kill_only = false;
-  bool serve = false;
-  bool net = false;
-  bool shard = false;
+  Mode mode = Mode::kFault;
   bool verbose = false;
   // Campaign index at which to fabricate a contract violation (SIZE_MAX =
   // never): the regression seam that keeps every violation path wired to a
@@ -146,17 +116,23 @@ struct Options {
   std::size_t inject_violation = SIZE_MAX;
 };
 
-// Every violation path funnels through here on its way out: the seed is the
-// replay handle, so it must reach stdout even when only the tail of the
-// output survives (CI truncation, a pipe buffer, a panicked operator).
-int fail_exit(const Options& opt) {
-  std::printf("pfact_soak: FAILED seed=%llu (see %s)\n",
-              static_cast<unsigned long long>(opt.seed),
-              opt.log_path.c_str());
-  return 1;
-}
+// One campaign's deterministic stream: mix64 of (seed, index, salt).
+struct Campaign {
+  std::uint64_t seed;
+  std::uint64_t index;
+  std::uint64_t salt = 0;
+  std::uint64_t next() { return mix64(seed + index * 0x1000003ull, ++salt); }
+  std::uint64_t pick(std::uint64_t n) { return next() % n; }
+};
 
-struct SoakStats {
+// A named campaign shape: `run` plays one campaign and returns false after
+// reporting a violation through Runner::fail.
+struct Shape {
+  std::string name;
+  std::function<bool(Campaign&)> run;
+};
+
+struct Ledger {
   std::size_t certified = 0;
   std::size_t terminal = 0;
   std::size_t escalations = 0;
@@ -167,25 +143,124 @@ struct SoakStats {
   std::size_t broken_contracts = 0;
 };
 
-// True (and records the fabricated violation) when --inject-violation says
-// this campaign must fail. Checked at the top of every campaign loop so the
-// seam exercises each mode's abort path identically.
-bool injected_violation(const Options& opt, std::size_t campaign,
-                        std::ofstream& log, SoakStats& stats) {
-  if (campaign != opt.inject_violation) return false;
-  ++stats.broken_contracts;
-  log << "campaign " << campaign
-      << " INJECTED VIOLATION (--inject-violation)\n";
-  return true;
-}
+using Summary = std::vector<std::pair<std::string, std::uint64_t>>;
 
-// Deterministic per-campaign stream: mix64 of (seed, campaign, salt).
-struct Stream {
-  std::uint64_t seed;
-  std::uint64_t campaign;
-  std::uint64_t salt = 0;
-  std::uint64_t next() { return mix64(seed + campaign * 0x1000003ull, ++salt); }
-  std::uint64_t pick(std::uint64_t n) { return next() % n; }
+class Runner {
+ public:
+  Runner(const Options& options, std::ofstream& log)
+      : opt(options), log_(log) {}
+
+  const Options& opt;
+  Ledger ledger;
+
+  bool held() const { return ok_; }
+
+  // Plays the campaigns, stopping at the first violation. Shapes rotate by
+  // campaign index, so one rotation covers every shape — unless `draw`
+  // picks each campaign's shape from its stream instead.
+  void run(const std::vector<Shape>& shapes,
+           const std::function<std::size_t(Campaign&)>& draw = {}) {
+    rotation_ = shapes.size();
+    for (campaign_ = 0; ok_ && campaign_ < opt.campaigns; ++campaign_) {
+      shape_ = nullptr;
+      if (campaign_ == opt.inject_violation) {
+        fail("INJECTED VIOLATION", "(--inject-violation)");
+        break;
+      }
+      Campaign c{opt.seed, campaign_};
+      shape_ = &shapes[draw ? draw(c) : campaign_ % rotation_];
+      if (!shape_->run(c)) break;
+    }
+    shape_ = nullptr;
+  }
+
+  // Records a violation of the current campaign: the log gets `what` and
+  // `body`, --fail-dir a dump of both plus `store`'s checkpoint blobs.
+  // Returns false, so a shape can `return r.fail(...)`.
+  bool fail(const std::string& what, const std::string& body,
+            const CheckpointStore* store = nullptr) {
+    ++ledger.broken_contracts;
+    ok_ = false;
+    log_ << "campaign " << campaign_ << " "
+         << (shape_ != nullptr ? shape_->name + " " : "") << what << "\n"
+         << body << "\n";
+    if (opt.fail_dir.empty()) return false;
+    const std::string stem =
+        opt.fail_dir + "/campaign" + std::to_string(campaign_);
+    std::ofstream(stem + ".txt", std::ios::trunc)
+        << what << "\n" << body << "\n";
+    if (store != nullptr) {
+      for (const auto& [step, blob] : store->blobs()) {
+        write_checkpoint_file(stem + "_step" + std::to_string(step) + ".ckpt",
+                              blob);
+      }
+    }
+    return false;
+  }
+
+  // The current campaign's log line, echoed to stdout under --verbose.
+  void note(const std::string& detail) {
+    const std::string line = "campaign " + std::to_string(campaign_) + " " +
+                             shape_->name + " " + detail;
+    log_ << line << "\n";
+    if (opt.verbose) std::printf("%s\n", line.c_str());
+  }
+
+  // An end-of-soak contract, checked once every campaign held.
+  void require(bool held, const std::string& gap) {
+    if (!ok_ || held) return;
+    ++ledger.broken_contracts;
+    log_ << gap << "\n";
+  }
+
+  // How many full rotations of the shape table the soak ran.
+  std::size_t rotations() const { return opt.campaigns / rotation_; }
+
+  // Coverage: every class of `sweep` except `excluded` was observed. A class
+  // never observed means a shape silently stopped exercising its path.
+  template <class E, class Seen>
+  void cover(const char* taxonomy, const std::vector<E>& sweep,
+             const char* (*name)(E), Seen seen,
+             std::initializer_list<E> excluded = {}) {
+    if (rotations() == 0) return;
+    for (E e : sweep) {
+      if (std::find(excluded.begin(), excluded.end(), e) != excluded.end()) {
+        continue;
+      }
+      require(seen(e) != 0, std::string("COVERAGE GAP: ") + taxonomy + " " +
+                                name(e) + " never observed");
+    }
+  }
+
+  // Writes the summary, then the ledger's verdict counts, as one key=value
+  // list to the log and stdout; returns the exit code.
+  int finish(Summary summary) {
+    summary.emplace_back("wrong-answers", ledger.wrong_answers);
+    summary.emplace_back("broken-contracts", ledger.broken_contracts);
+    std::string line = "summary";
+    for (const auto& [key, value] : summary) {
+      line += " " + key + "=" + std::to_string(value);
+    }
+    log_ << line << "\n";
+    std::printf("pfact_soak %s\n", line.c_str());
+    if (ok_ && ledger.wrong_answers == 0 && ledger.broken_contracts == 0) {
+      std::printf("pfact_soak: all campaigns held the contract\n");
+      return 0;
+    }
+    // The seed is the replay handle, so it must reach stdout even when only
+    // the tail of the output survives (CI truncation, a pipe buffer).
+    std::printf("pfact_soak: FAILED seed=%llu (see %s)\n",
+                static_cast<unsigned long long>(opt.seed),
+                opt.log_path.c_str());
+    return 1;
+  }
+
+ private:
+  std::ofstream& log_;
+  std::size_t campaign_ = 0;
+  std::size_t rotation_ = 1;
+  const Shape* shape_ = nullptr;
+  bool ok_ = true;
 };
 
 std::vector<ReductionTask> build_task_pool() {
@@ -236,58 +311,212 @@ bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
   return true;
 }
 
-void tally(const ResilientReport& rep, SoakStats& stats) {
-  stats.attempts += rep.attempts.size();
-  stats.escalations += rep.escalations;
+bool wait_until(const std::function<bool()>& cond,
+                std::chrono::milliseconds timeout =
+                    std::chrono::milliseconds(5000)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (cond()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return cond();
+}
+
+// --- default mode: in-process fault campaigns -------------------------------
+
+void tally(const ResilientReport& rep, Ledger& ledger) {
+  ledger.attempts += rep.attempts.size();
+  ledger.escalations += rep.escalations;
   for (const AttemptRecord& a : rep.attempts) {
-    if (a.resumed) ++stats.resumes;
+    if (a.resumed) ++ledger.resumes;
     if (a.diagnostic == Diagnostic::kCheckpointCorrupt) {
-      ++stats.checkpoint_rejections;
+      ++ledger.checkpoint_rejections;
     }
   }
 }
 
 // The one property the engine must never lose: a certified answer is the
-// ground truth. Returns false (and dumps evidence) on violation.
-bool check_verdict(const ReductionTask& task, const ResilientReport& rep,
-                   const Options& opt, const CheckpointStore* store,
-                   std::size_t campaign, std::ofstream& log,
-                   SoakStats& stats) {
-  if (rep.certified) {
-    ++stats.certified;
-    if (rep.value != task.expected()) {
-      ++stats.wrong_answers;
-      log << "campaign " << campaign << " WRONG ANSWER: " << task.describe()
-          << " certified " << (rep.value ? "true" : "false") << " but truth is "
-          << (task.expected() ? "true" : "false") << "\n"
-          << rep.to_string() << "\n";
-      if (!opt.fail_dir.empty() && store != nullptr) {
-        std::size_t i = 0;
-        for (const auto& [step, blob] : store->blobs()) {
-          write_checkpoint_file(opt.fail_dir + "/campaign" +
-                                    std::to_string(campaign) + "_step" +
-                                    std::to_string(step) + ".ckpt",
-                                blob);
-          ++i;
-        }
-        (void)i;
-      }
-      return false;
-    }
-  } else {
-    ++stats.terminal;
+// ground truth.
+bool check_verdict(Runner& r, const ReductionTask& task,
+                   const ResilientReport& rep, const CheckpointStore* store) {
+  if (!rep.certified) {
+    ++r.ledger.terminal;
     // A terminal failure must be a *classified* one — the supervisor never
     // gives up with kOk or an unexplained success-kind.
     if (rep.outcome == FailureKind::kSuccess ||
         rep.final_report.diagnostic == Diagnostic::kOk) {
-      ++stats.broken_contracts;
-      log << "campaign " << campaign
-          << " BROKEN CONTRACT: terminal report carries kOk\n"
-          << rep.to_string() << "\n";
-      return false;
+      return r.fail("BROKEN CONTRACT: terminal report carries kOk",
+                    rep.to_string());
     }
+    return true;
   }
-  return true;
+  ++r.ledger.certified;
+  if (rep.value == task.expected()) return true;
+  ++r.ledger.wrong_answers;
+  return r.fail("WRONG ANSWER: " + task.describe() + " certified " +
+                    (rep.value ? "true" : "false") + " but truth is " +
+                    (task.expected() ? "true" : "false"),
+                rep.to_string(), store);
+}
+
+Summary run_fault(Runner& r) {
+  const std::vector<ReductionTask> tasks = build_task_pool();
+  const std::vector<FaultClass> faults = all_fault_classes();
+  // Reset per campaign, before its shape is drawn (see r.run below).
+  const ReductionTask* task = nullptr;
+  ResilientOptions ro;
+  CheckpointStore store;
+
+  // Every shape but kill-resume configures `ro` and ends here.
+  auto certify = [&] {
+    const ResilientReport rep = resilient_run(*task, ro);
+    tally(rep, r.ledger);
+    const bool held = check_verdict(r, *task, rep, &store);
+    r.note(task->describe() + (rep.certified ? " certified" : " terminal") +
+           " attempts=" + std::to_string(rep.attempts.size()) +
+           " escalations=" + std::to_string(rep.escalations));
+    return held;
+  };
+
+  // One FaultClass injected persistently on every attempt: the ladder must
+  // detect it on every rung it survives to.
+  auto fault_sweep = [&](Campaign& c) {
+    FaultPlan plan;
+    plan.fault = faults[c.pick(faults.size())];
+    plan.seed = c.next();
+    ro.checkpoint_every = 2 + c.pick(4);
+    ro.store = &store;
+    ro.fault_for_attempt = [plan](std::size_t) { return plan; };
+    return certify();
+  };
+
+  // kRoundingFlip against a ladder that STARTS on SoftFloat (where the flip
+  // is visible): transient retries exhaust, then escalation to exact
+  // rationals certifies the value.
+  auto flip_ladder = [&](Campaign& c) {
+    if (task->algorithm == Algorithm::kGqr) {
+      // GQR has no exact rung to escalate into; give it the full ladder
+      // from the bottom instead (the flip is harmless on long double).
+      ro.ladder = {Substrate::kDouble, Substrate::kSoftFloat53};
+    } else {
+      ro.ladder = {Substrate::kSoftFloat53, Substrate::kRational};
+    }
+    FaultPlan plan;
+    plan.fault = FaultClass::kRoundingFlip;
+    plan.seed = c.next();
+    ro.fault_for_attempt = [plan](std::size_t) { return plan; };
+    return certify();
+  };
+
+  // A step budget smaller than the factorization, with checkpointing: every
+  // attempt is killed mid-run and the next one resumes from the last
+  // snapshot, so the task finishes by accumulated progress across kills.
+  // Progress per kill is ~checkpoint_every steps, so crossing the largest
+  // pool task (order ~10^2) takes a few hundred kills.
+  auto preempt = [&](std::size_t max_steps) {
+    ro.checkpoint_every = 2;
+    ro.store = &store;
+    ro.limits.max_steps = max_steps;
+    ro.retry.max_attempts = 1024;
+  };
+  auto preemption = [&](Campaign& c) {
+    preempt(3 + c.pick(3));
+    return certify();
+  };
+
+  // Preemption plus kTornWrite: the first snapshot of an attempt is
+  // corrupted at save time; resume must reject it (CRC / truncation), drop
+  // it, and recover from an intact earlier snapshot or from scratch.
+  auto torn_write = [&](Campaign& c) {
+    preempt(4);
+    FaultPlan plan;
+    plan.fault = FaultClass::kTornWrite;
+    plan.seed = c.next();
+    ro.fault_for_attempt = [plan](std::size_t attempt) {
+      // Tear only the first attempt's snapshot so the campaign also proves
+      // recovery, not just rejection.
+      return attempt == 1 ? plan : FaultPlan{};
+    };
+    return certify();
+  };
+
+  // Explicit crash/resume equivalence: kill a checkpointing run at a
+  // boundary, hand the surviving store to a fresh engine call, and require
+  // the SAME decoded boolean and the SAME pivot trace, event for event, as
+  // an uninterrupted baseline.
+  auto kill_resume = [&](Campaign& c) {
+    ResilientOptions base;
+    base.retry.max_attempts = 1;
+    const ResilientReport baseline = resilient_run(*task, base);
+    if (!baseline.certified) {
+      return r.fail("BROKEN CONTRACT: clean run of " + task->describe() +
+                        " not certified",
+                    baseline.to_string());
+    }
+    const std::size_t every = 2 + c.pick(3);
+    ResilientOptions crash;
+    crash.retry.max_attempts = 1;
+    crash.checkpoint_every = every;
+    crash.store = &store;
+    crash.limits.max_steps = every * (1 + c.pick(3));
+    const ResilientReport crashed = resilient_run(*task, crash);
+    tally(crashed, r.ledger);
+    // The killed run may legitimately finish early (the budget can exceed
+    // the task), but a certificate it does hand out must be the truth — a
+    // certified-wrong crash run is the worst possible answer.
+    if (crashed.certified && crashed.value != baseline.value) {
+      ++r.ledger.wrong_answers;
+      return r.fail("WRONG ANSWER from interrupted run: " + task->describe() +
+                        " baseline value=" + std::to_string(baseline.value) +
+                        "; crashed:",
+                    crashed.to_string(), &store);
+    }
+    ResilientOptions resume;
+    resume.retry.max_attempts = 2;
+    resume.checkpoint_every = every;
+    resume.store = &store;
+    const ResilientReport resumed = resilient_run(*task, resume);
+    tally(resumed, r.ledger);
+    if (!resumed.certified || resumed.value != baseline.value ||
+        !traces_equal(resumed.final_report.trace,
+                      baseline.final_report.trace)) {
+      return r.fail(
+          "CRASH/RESUME DIVERGENCE: " + task->describe() + " baseline value=" +
+              std::to_string(baseline.value) +
+              " trace=" + std::to_string(baseline.final_report.trace.size()) +
+              " events; resumed:",
+          resumed.to_string(), &store);
+    }
+    ++r.ledger.certified;
+    r.note(task->describe() + " ok");
+    return true;
+  };
+
+  const std::vector<Shape> shapes = {{"fault-sweep", fault_sweep},
+                                     {"flip-ladder", flip_ladder},
+                                     {"preemption", preemption},
+                                     {"torn-write", torn_write},
+                                     {"kill-resume", kill_resume}};
+  // The shape is drawn, not rotated, after the task and the retry jitter.
+  r.run(shapes, [&](Campaign& c) {
+    task = &tasks[c.pick(tasks.size())];
+    ro = ResilientOptions{};
+    ro.retry.max_attempts = 3;
+    ro.retry.base_delay = std::chrono::milliseconds{1};
+    ro.retry.jitter_seed = c.next();
+    // No sleeper installed: backoffs are recorded, not slept — the campaign
+    // stream is wall-clock independent.
+    store.clear();
+    return c.pick(shapes.size());
+  });
+
+  const Ledger& l = r.ledger;
+  return {{"certified", l.certified},
+          {"terminal", l.terminal},
+          {"attempts", l.attempts},
+          {"escalations", l.escalations},
+          {"resumes", l.resumes},
+          {"checkpoint-rejections", l.checkpoint_rejections}};
 }
 
 // --- real-kill campaigns through the serve/ layer ---------------------------
@@ -317,141 +546,125 @@ constexpr KillShape kKillShapes[] = {
      serve::WorkerExit::kCpuLimit, Diagnostic::kResourceExhausted},
 };
 
-int run_kill_campaigns(const Options& opt, std::ofstream& log) {
-  const std::vector<ReductionTask> pool_tasks = build_task_pool();
+// A watchdog-bounded spin: the serve mode's dispatcher wedge.
+constexpr const KillShape& kWedge = kKillShapes[3];
+
+// Arms `job` (SupervisorOptions or serve::JobOptions) to die as `ks` says on
+// attempt 1, after `after_saves` streamed checkpoints; later attempts run
+// clean.
+template <class Job>
+void arm_kill(Job& job, const KillShape& ks, std::uint64_t after_saves) {
+  job.kill_for_attempt = [mode = ks.mode, after_saves](std::size_t attempt) {
+    serve::KillPlan kill;
+    if (attempt == 1) {
+      kill.mode = mode;
+      kill.after_saves = after_saves;
+    }
+    return kill;
+  };
+  if (ks.watchdog) job.watchdog = std::chrono::milliseconds{200};
+  if (ks.cpu_rlimit) job.rlimits.cpu_seconds = 1;
+}
+
+// The victim's death was classified exactly as the taxonomy promises; its
+// exit class joins `observed`.
+bool killed_as(Runner& r, const KillShape& ks,
+               const serve::SupervisedReport& rep,
+               std::set<serve::WorkerExit>& observed) {
+  if (rep.attempts.empty() ||
+      rep.attempts.front().diagnostic != ks.expect_diag) {
+    return r.fail(std::string("KILL MISCLASSIFIED: expected ") +
+                      diagnostic_name(ks.expect_diag) + ", got " +
+                      (rep.attempts.empty()
+                           ? "no attempts"
+                           : diagnostic_name(rep.attempts.front().diagnostic)),
+                  rep.to_string());
+  }
+  observed.insert(ks.expect_exit);
+  return true;
+}
+
+// Every death class the pool can report was really produced and survived —
+// except kProtocolError (no KillPlan yields exit-0 with a corrupt result
+// frame; tests/serve covers it with hand-built frames) and kForkFailure
+// (real fork exhaustion cannot be staged on demand; tests/serve covers it
+// through the pool's fork-injection seam).
+void cover_worker_exits(Runner& r,
+                        const std::set<serve::WorkerExit>& observed) {
+  r.cover("WorkerExit", serve::all_worker_exits(), serve::worker_exit_name,
+          [&](serve::WorkerExit e) { return observed.count(e); },
+          {serve::WorkerExit::kProtocolError,
+           serve::WorkerExit::kForkFailure});
+}
+
+// Every killed, recycled, or retired warm worker was replaced: the pool ends
+// the soak at full strength.
+void require_full_pool(Runner& r, serve::ReductionService& service,
+                       std::size_t workers) {
+  const std::size_t live = service.pool().live_workers();
+  r.require(live == workers, "RESPAWN GAP: " + std::to_string(live) + " of " +
+                                 std::to_string(workers) +
+                                 " warm workers alive at end of soak");
+}
+
+Summary run_kill(Runner& r) {
+  const std::vector<ReductionTask> tasks = build_task_pool();
   serve::WarmPoolOptions wo;
   wo.workers = 1;
   serve::WarmPool pool(wo);
-  SoakStats stats;
   std::set<serve::WorkerExit> observed;
   std::size_t resume_handoffs = 0;
-  bool ok = true;
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
-    const ReductionTask& task = pool_tasks[rng.pick(pool_tasks.size())];
-    // Cycle shapes deterministically so a short soak still covers them all.
-    const KillShape& shape = kKillShapes[campaign % std::size(kKillShapes)];
-
+  // One real death per campaign: attempt 1 of a supervised run dies as `ks`
+  // says, and the successor must certify.
+  auto kill_worker = [&](Campaign& c, const KillShape& ks) {
+    const ReductionTask& task = tasks[c.pick(tasks.size())];
     CheckpointStore store;
     serve::SupervisorOptions so;
     so.retry.max_attempts = 3;
     so.retry.base_delay = std::chrono::milliseconds{1};
-    so.retry.jitter_seed = rng.next();
+    so.retry.jitter_seed = c.next();
     so.checkpoint_every = 2;
     so.store = &store;
-    if (shape.watchdog) so.watchdog = std::chrono::milliseconds{200};
-    if (shape.cpu_rlimit) so.rlimits.cpu_seconds = 1;
-    // 0 = die before any save, 1 = die right after the first save. Capped
-    // at 1 because the smallest pool tasks may stream only one snapshot —
-    // a trigger that never fires would let attempt 1 complete cleanly and
-    // trip the misclassification check below.
-    const std::uint64_t after_saves = rng.pick(2);
-    so.kill_for_attempt = [&shape, after_saves](std::size_t attempt) {
-      serve::KillPlan kill;
-      if (attempt == 1) {
-        kill.mode = shape.mode;
-        kill.after_saves = after_saves;
-      }
-      return kill;
-    };
-
+    // Die before any save (0) or right after the first (1). Capped at 1
+    // because the smallest pool tasks may stream only one snapshot — a
+    // trigger that never fires would let attempt 1 complete cleanly and
+    // trip the misclassification check.
+    arm_kill(so, ks, c.pick(2));
     const serve::SupervisedReport rep = supervised_run(pool, task, so);
-    stats.attempts += rep.attempts.size();
-    stats.escalations += rep.escalations;
+    r.ledger.attempts += rep.attempts.size();
+    r.ledger.escalations += rep.escalations;
     resume_handoffs += rep.resume_handoffs;
-
     // Zero wrong answers, across a real process death.
     if (!rep.certified || rep.value != task.expected()) {
-      if (rep.certified) ++stats.wrong_answers;
-      ++stats.broken_contracts;
-      log << "campaign " << campaign << " " << shape.name << " "
-          << task.describe() << " FAILED: "
-          << (rep.certified ? "WRONG ANSWER" : "not certified") << "\n"
-          << rep.to_string() << "\n";
-      if (!opt.fail_dir.empty()) {
-        for (const auto& [step, blob] : store.blobs()) {
-          write_checkpoint_file(opt.fail_dir + "/campaign" +
-                                    std::to_string(campaign) + "_step" +
-                                    std::to_string(step) + ".ckpt",
-                                blob);
-        }
-      }
-      ok = false;
-      break;
+      if (rep.certified) ++r.ledger.wrong_answers;
+      return r.fail(task.describe() + " FAILED: " +
+                        (rep.certified ? "WRONG ANSWER" : "not certified"),
+                    rep.to_string(), &store);
     }
-    ++stats.certified;
-    // The victim's death was classified exactly as the taxonomy promises.
-    if (rep.attempts.empty() ||
-        rep.attempts.front().diagnostic != shape.expect_diag) {
-      ++stats.broken_contracts;
-      log << "campaign " << campaign << " " << shape.name
-          << " MISCLASSIFIED: expected "
-          << diagnostic_name(shape.expect_diag) << ", got "
-          << (rep.attempts.empty()
-                  ? "no attempts"
-                  : diagnostic_name(rep.attempts.front().diagnostic))
-          << "\n" << rep.to_string() << "\n";
-      ok = false;
-      break;
-    }
-    observed.insert(shape.expect_exit);
+    ++r.ledger.certified;
+    if (!killed_as(r, ks, rep, observed)) return false;
     observed.insert(rep.last_worker_exit);  // kCompleted on certification
-    log << "campaign " << campaign << " " << shape.name << " "
-        << task.describe() << " certified attempts=" << rep.attempts.size()
-        << " resume-handoffs=" << rep.resume_handoffs << "\n";
-    if (opt.verbose) {
-      std::printf("campaign %zu %s %s: certified (%zu attempts)\n", campaign,
-                  shape.name, task.describe().c_str(), rep.attempts.size());
-    }
+    r.note(task.describe() +
+           " certified attempts=" + std::to_string(rep.attempts.size()) +
+           " resume-handoffs=" + std::to_string(rep.resume_handoffs));
+    return true;
+  };
+  std::vector<Shape> shapes;
+  for (const KillShape& ks : kKillShapes) {
+    shapes.push_back(
+        {ks.name, [&, ks](Campaign& c) { return kill_worker(c, ks); }});
   }
-
-  // Coverage: every death class the pool can report was really produced
-  // and survived — except kProtocolError (no KillPlan yields exit-0 with a
-  // corrupt result frame; tests/serve covers it with hand-built frames)
-  // and kForkFailure (real fork exhaustion cannot be staged on demand;
-  // tests/serve covers it through the pool's fork-injection seam).
-  if (ok && opt.campaigns >= std::size(kKillShapes)) {
-    for (serve::WorkerExit e : serve::all_worker_exits()) {
-      if (e == serve::WorkerExit::kProtocolError ||
-          e == serve::WorkerExit::kForkFailure) {
-        continue;
-      }
-      if (observed.count(e) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: WorkerExit " << serve::worker_exit_name(e)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-  }
+  r.run(shapes);
+  cover_worker_exits(r, observed);
 
   const serve::WarmPool::Stats ps = pool.stats();
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts
-      << " workers-spawned=" << ps.spawned << " workers-crashed="
-      << ps.crashed << " watchdog-kills=" << ps.watchdog_kills
-      << " resume-handoffs=" << resume_handoffs
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --kill-only: %zu certified, %zu attempts, "
-      "%llu workers spawned, %llu crashed, %llu watchdog kills, "
-      "%zu resume handoffs, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(ps.spawned),
-      static_cast<unsigned long long>(ps.crashed),
-      static_cast<unsigned long long>(ps.watchdog_kills), resume_handoffs,
-      stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all real-kill campaigns held the contract\n");
-  return 0;
+  return {{"certified", r.ledger.certified},
+          {"attempts", r.ledger.attempts},
+          {"workers-spawned", ps.spawned},
+          {"workers-crashed", ps.crashed},
+          {"watchdog-kills", ps.watchdog_kills},
+          {"resume-handoffs", resume_handoffs}};
 }
 
 // --- concurrent serve campaigns through the warm-worker service -------------
@@ -498,9 +711,8 @@ ReductionTask unique_chain_task(std::uint64_t id) {
   return t;
 }
 
-int run_serve_campaigns(const Options& opt, std::ofstream& log) {
+Summary run_serve(Runner& r) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
-
   serve::ServiceOptions so;
   so.dispatchers = 2;
   so.queue_depth = 4;  // small on purpose: overload bursts must shed
@@ -511,276 +723,172 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
   so.supervisor.retry.base_delay = std::chrono::milliseconds{1};
   so.supervisor.checkpoint_every = 2;
   serve::ReductionService service(so);
-
-  SoakStats stats;
   std::set<serve::WorkerExit> observed;
   std::uint64_t unique_id = 0;
-  bool ok = true;
 
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/serve_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
-
-  // Checks one admitted-and-dispatched response against the zero-wrong-
-  // answer contract; returns false after recording the failure.
-  auto check_served = [&](std::size_t campaign, const ReductionTask& task,
-                          const serve::ServiceResponse& resp) {
-    stats.attempts += resp.report.attempts.size();
+  // One admitted-and-dispatched response against the zero-wrong-answer
+  // contract.
+  auto served = [&](const ReductionTask& task,
+                    const serve::ServiceResponse& resp) {
+    r.ledger.attempts += resp.report.attempts.size();
     if (!resp.report.certified || resp.report.value != task.expected()) {
-      if (resp.report.certified) ++stats.wrong_answers;
-      fail(campaign,
-           resp.report.certified ? "WRONG ANSWER" : "NOT CERTIFIED",
-           resp.report.to_string());
-      return false;
+      if (resp.report.certified) ++r.ledger.wrong_answers;
+      return r.fail(resp.report.certified ? "WRONG ANSWER" : "NOT CERTIFIED",
+                    resp.report.to_string());
     }
-    ++stats.certified;
+    ++r.ledger.certified;
     if (!resp.from_cache) observed.insert(resp.report.last_worker_exit);
     return true;
   };
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
+  // Real-kill job through the full service path: admission -> bounded
+  // queue -> warm worker -> supervised retry/resume. The task is unique per
+  // campaign, so the kill always reaches a live worker.
+  auto kill_job = [&](Campaign& c, const KillShape& ks) {
+    const ReductionTask task = unique_chain_task(unique_id++);
+    serve::JobOptions job;
+    arm_kill(job, ks, c.pick(2));
+    const serve::ServiceResponse resp = service.run(task, job);
+    if (resp.admission != serve::Admission::kAccepted) {
+      return r.fail("LONE JOB SHED: an idle service must admit",
+                    resp.report.to_string());
     }
-    Stream rng{opt.seed, campaign};
-    const std::size_t shape = campaign % 7;
+    if (!served(task, resp) || !killed_as(r, ks, resp.report, observed)) {
+      return false;
+    }
+    r.note("certified attempts=" +
+           std::to_string(resp.report.attempts.size()));
+    return true;
+  };
 
-    if (shape < std::size(kKillShapes)) {
-      // Real-kill job through the full service path: admission -> bounded
-      // queue -> warm worker -> supervised retry/resume. The task is unique
-      // per campaign, so the kill always reaches a live worker.
-      const KillShape& ks = kKillShapes[shape];
-      const ReductionTask task = unique_chain_task(unique_id++);
-      serve::JobOptions job;
-      const std::uint64_t after_saves = rng.pick(2);
-      job.kill_for_attempt = [&ks, after_saves](std::size_t attempt) {
-        serve::KillPlan kill;
-        if (attempt == 1) {
-          kill.mode = ks.mode;
-          kill.after_saves = after_saves;
-        }
-        return kill;
-      };
-      if (ks.watchdog) job.watchdog = std::chrono::milliseconds{200};
-      if (ks.cpu_rlimit) job.rlimits.cpu_seconds = 1;
-      const serve::ServiceResponse resp = service.run(task, job);
-      if (resp.admission != serve::Admission::kAccepted) {
-        fail(campaign, "LONE JOB SHED: an idle service must admit",
-             resp.report.to_string());
-        break;
-      }
-      if (!check_served(campaign, task, resp)) break;
-      // The worker's death was classified exactly as the taxonomy promises.
-      if (resp.report.attempts.empty() ||
-          resp.report.attempts.front().diagnostic != ks.expect_diag) {
-        fail(campaign, "KILL MISCLASSIFIED", resp.report.to_string());
-        break;
-      }
-      observed.insert(ks.expect_exit);
-      log << "campaign " << campaign << " serve-" << ks.name
-          << " certified attempts=" << resp.report.attempts.size() << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu serve-%s: certified (%zu attempts)\n",
-                    campaign, ks.name, resp.report.attempts.size());
-      }
-    } else if (shape == std::size(kKillShapes)) {
-      // Overload burst: pin both dispatchers on fresh (uncached) jobs, then
-      // pour in more submissions than the queue bound can hold from
-      // concurrent client threads while nothing drains. The overflow MUST
-      // be refused as classified kShedQueueFull — never queued unboundedly,
-      // never silently dropped — and every admitted job must still certify.
-      const ReductionTask pin_a = unique_chain_task(unique_id++);
-      const ReductionTask pin_b = unique_chain_task(unique_id++);
-      auto pa = service.submit(pin_a);
-      auto pb = service.submit(pin_b);
+  // Overload burst: pin both dispatchers on fresh (uncached) jobs, then pour
+  // in more submissions than the queue bound can hold from concurrent
+  // client threads while nothing drains. The overflow MUST be refused as
+  // classified kShedQueueFull — never queued unboundedly, never silently
+  // dropped — and every admitted job must still certify.
+  auto overload = [&](Campaign& c) {
+    const ReductionTask pin_a = unique_chain_task(unique_id++);
+    const ReductionTask pin_b = unique_chain_task(unique_id++);
+    auto pa = service.submit(pin_a);
+    auto pb = service.submit(pin_b);
 
-      constexpr std::size_t kBurst = 10;
-      std::vector<ReductionTask> burst_tasks;
-      for (std::size_t j = 0; j < kBurst; ++j) {
-        // Cycled by campaign so later bursts repeat earlier bursts' tasks —
-        // that repetition is what the cache-hit contract feeds on.
-        burst_tasks.push_back(
-            repeat_tasks[(campaign + j) % repeat_tasks.size()]);
-      }
-      std::vector<std::shared_ptr<serve::ReductionService::Pending>> burst(
-          kBurst);
-      {
-        std::vector<std::thread> clients;
-        for (std::size_t c = 0; c < 5; ++c) {
-          clients.emplace_back([&, c] {
-            for (std::size_t j = c * 2; j < c * 2 + 2; ++j) {
-              burst[j] = service.submit(burst_tasks[j]);
-            }
-          });
-        }
-        for (std::thread& t : clients) t.join();
-      }
-
-      std::size_t shed_here = 0;
-      for (std::size_t j = 0; j < kBurst && ok; ++j) {
-        const serve::ServiceResponse& resp = burst[j]->wait();
-        if (resp.admission == serve::Admission::kAccepted) {
-          if (!check_served(campaign, burst_tasks[j], resp)) break;
-        } else if (resp.admission == serve::Admission::kShedQueueFull) {
-          ++shed_here;
-          // A shed is only acceptable CLASSIFIED: the transient
-          // kOverloaded diagnostic a client backoff loop can act on.
-          if (resp.report.final_report.diagnostic !=
-                  Diagnostic::kOverloaded ||
-              classify_diagnostic(resp.report.final_report.diagnostic) !=
-                  FailureKind::kTransient ||
-              resp.report.certified) {
-            fail(campaign, "UNCLASSIFIED SHED", resp.report.to_string());
-            break;
+    constexpr std::size_t kBurst = 10;
+    std::vector<ReductionTask> burst_tasks;
+    for (std::size_t j = 0; j < kBurst; ++j) {
+      // Cycled by campaign so later bursts repeat earlier bursts' tasks —
+      // that repetition is what the cache-hit contract feeds on.
+      burst_tasks.push_back(
+          repeat_tasks[(c.index + j) % repeat_tasks.size()]);
+    }
+    std::vector<std::shared_ptr<serve::ReductionService::Pending>> burst(
+        kBurst);
+    {
+      std::vector<std::thread> clients;
+      for (std::size_t t = 0; t < 5; ++t) {
+        clients.emplace_back([&, t] {
+          for (std::size_t j = t * 2; j < t * 2 + 2; ++j) {
+            burst[j] = service.submit(burst_tasks[j]);
           }
-        } else {
-          fail(campaign, "UNEXPECTED ADMISSION CLASS",
-               std::string(serve::admission_name(resp.admission)));
-          break;
-        }
+        });
       }
-      if (ok && !check_served(campaign, pin_a, pa->wait())) break;
-      if (ok && !check_served(campaign, pin_b, pb->wait())) break;
-      if (ok && shed_here == 0) {
-        fail(campaign, "OVERLOAD NEVER SHED",
-             "burst exceeded queue_depth with both dispatchers pinned, yet "
-             "no submission was refused");
-        break;
-      }
-      if (ok) {
-        log << "campaign " << campaign << " serve-overload shed=" << shed_here
-            << "/" << kBurst << "\n";
-        if (opt.verbose) {
-          std::printf("campaign %zu serve-overload: %zu/%zu shed\n", campaign,
-                      shed_here, kBurst);
-        }
-      }
-    } else {
-      // Deadline expiry: wedge both dispatchers on watchdog-bounded spins,
-      // then queue a job whose deadline is already hopeless. FIFO order
-      // guarantees the wedges are picked up first, so by the time a
-      // dispatcher frees up (>= 200ms later) the 1ms deadline has long
-      // passed: the job must be shed as kShedDeadline without ever
-      // touching a worker.
-      serve::JobOptions wedge;
-      wedge.kill_for_attempt = [](std::size_t attempt) {
-        serve::KillPlan kill;
-        if (attempt == 1) kill.mode = serve::KillPlan::Mode::kSpin;
-        return kill;
-      };
-      wedge.watchdog = std::chrono::milliseconds{200};
-      const ReductionTask wedge_a = unique_chain_task(unique_id++);
-      const ReductionTask wedge_b = unique_chain_task(unique_id++);
-      auto wa = service.submit(wedge_a, wedge);
-      auto wb = service.submit(wedge_b, wedge);
+      for (std::thread& t : clients) t.join();
+    }
 
-      serve::JobOptions doomed;
-      doomed.deadline = std::chrono::milliseconds{1};
-      const ReductionTask late_task =
-          repeat_tasks[rng.pick(repeat_tasks.size())];
-      auto late = service.submit(late_task, doomed);
-
-      const serve::ServiceResponse& lr = late->wait();
-      if (lr.admission != serve::Admission::kShedDeadline ||
-          lr.report.final_report.diagnostic !=
-              Diagnostic::kDeadlineExceeded ||
-          lr.report.certified) {
-        fail(campaign, "DEADLINE NOT SHED",
-             std::string("admission=") +
-                 serve::admission_name(lr.admission) + "\n" +
-                 lr.report.to_string());
-        break;
-      }
-      // The wedges themselves recover: watchdog kills attempt 1, attempt 2
-      // certifies — which also feeds kWatchdog into the coverage set.
-      if (!check_served(campaign, wedge_a, wa->wait())) break;
-      if (!check_served(campaign, wedge_b, wb->wait())) break;
-      observed.insert(serve::WorkerExit::kWatchdog);
-      log << "campaign " << campaign << " serve-deadline shed ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu serve-deadline: shed as %s\n", campaign,
-                    serve::admission_name(lr.admission));
+    std::size_t shed = 0;
+    for (std::size_t j = 0; j < kBurst; ++j) {
+      const serve::ServiceResponse& resp = burst[j]->wait();
+      if (resp.admission == serve::Admission::kAccepted) {
+        if (!served(burst_tasks[j], resp)) return false;
+      } else if (resp.admission == serve::Admission::kShedQueueFull) {
+        ++shed;
+        // A shed is only acceptable CLASSIFIED: the transient kOverloaded
+        // diagnostic a client backoff loop can act on.
+        if (resp.report.final_report.diagnostic != Diagnostic::kOverloaded ||
+            classify_diagnostic(resp.report.final_report.diagnostic) !=
+                FailureKind::kTransient ||
+            resp.report.certified) {
+          return r.fail("UNCLASSIFIED SHED", resp.report.to_string());
+        }
+      } else {
+        return r.fail("UNEXPECTED ADMISSION CLASS",
+                      serve::admission_name(resp.admission));
       }
     }
-  }
-
-  // Coverage: every real worker-death class was produced and survived
-  // through the service path — same two exclusions as the kill-only soak
-  // (kProtocolError needs hand-built frames, kForkFailure needs the fork
-  // injection seam; tests/serve covers both).
-  if (ok && opt.campaigns >= 7) {
-    for (serve::WorkerExit e : serve::all_worker_exits()) {
-      if (e == serve::WorkerExit::kProtocolError ||
-          e == serve::WorkerExit::kForkFailure) {
-        continue;
-      }
-      if (observed.count(e) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: WorkerExit " << serve::worker_exit_name(e)
-            << " never observed through the service\n";
-        ok = false;
-      }
+    if (!served(pin_a, pa->wait()) || !served(pin_b, pb->wait())) {
+      return false;
     }
+    if (shed == 0) {
+      return r.fail("OVERLOAD NEVER SHED",
+                    "burst exceeded queue_depth with both dispatchers "
+                    "pinned, yet no submission was refused");
+    }
+    r.note("shed=" + std::to_string(shed) + "/" + std::to_string(kBurst));
+    return true;
+  };
+
+  // Deadline expiry: wedge both dispatchers on watchdog-bounded spins, then
+  // queue a job whose deadline is already hopeless. FIFO order guarantees
+  // the wedges are picked up first, so by the time a dispatcher frees up
+  // (>= 200ms later) the 1ms deadline has long passed: the job must be shed
+  // as kShedDeadline without ever touching a worker.
+  auto deadline = [&](Campaign& c) {
+    serve::JobOptions wedge;
+    arm_kill(wedge, kWedge, 0);
+    const ReductionTask wedge_a = unique_chain_task(unique_id++);
+    const ReductionTask wedge_b = unique_chain_task(unique_id++);
+    auto wa = service.submit(wedge_a, wedge);
+    auto wb = service.submit(wedge_b, wedge);
+
+    serve::JobOptions doomed;
+    doomed.deadline = std::chrono::milliseconds{1};
+    const ReductionTask late_task = repeat_tasks[c.pick(repeat_tasks.size())];
+    auto late = service.submit(late_task, doomed);
+    const serve::ServiceResponse& lr = late->wait();
+    if (lr.admission != serve::Admission::kShedDeadline ||
+        lr.report.final_report.diagnostic != Diagnostic::kDeadlineExceeded ||
+        lr.report.certified) {
+      return r.fail("DEADLINE NOT SHED",
+                    std::string("admission=") +
+                        serve::admission_name(lr.admission) + "\n" +
+                        lr.report.to_string());
+    }
+    // The wedges themselves recover: watchdog kills attempt 1, attempt 2
+    // certifies — which also feeds kWatchdog into the coverage set.
+    if (!served(wedge_a, wa->wait()) || !served(wedge_b, wb->wait())) {
+      return false;
+    }
+    observed.insert(serve::WorkerExit::kWatchdog);
+    r.note("shed ok");
+    return true;
+  };
+
+  std::vector<Shape> shapes;
+  for (const KillShape& ks : kKillShapes) {
+    shapes.push_back({std::string("serve-") + ks.name,
+                      [&, ks](Campaign& c) { return kill_job(c, ks); }});
   }
-  // Auto-respawn: every killed, recycled, or retired warm worker was
-  // replaced — the pool ends the soak at full strength.
-  if (ok && service.pool().live_workers() != so.pool.workers) {
-    ++stats.broken_contracts;
-    log << "RESPAWN GAP: " << service.pool().live_workers() << " of "
-        << so.pool.workers << " warm workers alive at end of soak\n";
-    ok = false;
-  }
-  const serve::ReductionService::Stats sstats = service.stats();
-  if (ok && opt.campaigns >= 14 && sstats.served_from_cache == 0) {
-    ++stats.broken_contracts;
-    log << "CACHE NEVER HIT: repeated tasks were re-factored every time\n";
-    ok = false;
-  }
+  shapes.push_back({"serve-overload", overload});
+  shapes.push_back({"serve-deadline", deadline});
+  r.run(shapes);
+  cover_worker_exits(r, observed);
+  require_full_pool(r, service, so.pool.workers);
+  const serve::ReductionService::Stats ss = service.stats();
+  // The second overload burst is the first to repeat an earlier one's tasks.
+  r.require(r.rotations() < 2 || ss.served_from_cache != 0,
+            "CACHE NEVER HIT: repeated tasks were re-factored every time");
 
   const serve::WarmPool::Stats ps = service.pool().stats();
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts << " submitted=" << sstats.submitted
-      << " accepted=" << sstats.accepted
-      << " shed-queue-full=" << sstats.shed_queue_full
-      << " shed-deadline=" << sstats.shed_deadline
-      << " cache-hits=" << sstats.served_from_cache
-      << " workers-spawned=" << ps.spawned << " workers-crashed="
-      << ps.crashed << " recycles=" << ps.recycles
-      << " watchdog-kills=" << ps.watchdog_kills
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --serve: %zu certified, %zu attempts, "
-      "%llu submitted, %llu shed (queue-full %llu, deadline %llu), "
-      "%llu cache hits, %llu workers spawned, %llu crashed, "
-      "%llu recycles, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(sstats.submitted),
-      static_cast<unsigned long long>(sstats.shed_queue_full +
-                                      sstats.shed_deadline +
-                                      sstats.shed_shutdown),
-      static_cast<unsigned long long>(sstats.shed_queue_full),
-      static_cast<unsigned long long>(sstats.shed_deadline),
-      static_cast<unsigned long long>(sstats.served_from_cache),
-      static_cast<unsigned long long>(ps.spawned),
-      static_cast<unsigned long long>(ps.crashed),
-      static_cast<unsigned long long>(ps.recycles), stats.wrong_answers,
-      stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all serve campaigns held the contract\n");
-  return 0;
+  return {{"certified", r.ledger.certified},
+          {"attempts", r.ledger.attempts},
+          {"submitted", ss.submitted},
+          {"accepted", ss.accepted},
+          {"shed-queue-full", ss.shed_queue_full},
+          {"shed-deadline", ss.shed_deadline},
+          {"cache-hits", ss.served_from_cache},
+          {"workers-spawned", ps.spawned},
+          {"workers-crashed", ps.crashed},
+          {"recycles", ps.recycles},
+          {"watchdog-kills", ps.watchdog_kills}};
 }
 
 // --- net mode: chaos against the socket front end --------------------------
@@ -827,20 +935,8 @@ std::string raw_request_frame(const ReductionTask& task) {
   return w.take();
 }
 
-bool wait_until(const std::function<bool()>& cond,
-                std::chrono::milliseconds timeout =
-                    std::chrono::milliseconds(5000)) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return cond();
-}
-
-int run_net_campaigns(const Options& opt, std::ofstream& log) {
+Summary run_net(Runner& r) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
-
   serve::ServiceOptions so;
   so.dispatchers = 2;
   so.queue_depth = 8;
@@ -860,276 +956,189 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
   fo.read_deadline = std::chrono::milliseconds{400};
   fo.write_deadline = std::chrono::milliseconds{2000};
   serve::Frontend frontend(service, fo);
-
-  SoakStats stats;
-  bool ok = true;
   std::uint64_t unique_id = 0;
+  if (!frontend.running()) r.fail("FRONTEND NEVER BOUND", fo.unix_path);
 
-  if (!frontend.running()) {
-    ++stats.broken_contracts;
-    log << "FRONTEND NEVER BOUND: " << fo.unix_path << "\n";
-    return fail_exit(opt);
-  }
-
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/net_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
-
-  auto describe = [](const serve::ClientResult& res) {
-    return std::string("status=") +
-           serve::frontend_status_name(res.status) + " diagnostic=" +
-           robustness::diagnostic_name(res.diagnostic) + " attempts=" +
-           std::to_string(res.attempts);
-  };
-
-  // The five sabotage shapes, cycled with overload (5) and clean/cached (6).
-  static constexpr serve::NetFault kNetShapes[5] = {
-      serve::NetFault::kTornFrame,     serve::NetFault::kMidFrameClose,
-      serve::NetFault::kDribble,       serve::NetFault::kStalledReader,
-      serve::NetFault::kGarbagePreamble};
-
-  auto client_options = [&](Stream& rng) {
+  auto client_options = [&](Campaign& c) {
     serve::ClientOptions co;
     co.unix_path = frontend.unix_path();
     co.retry.max_attempts = 4;
     co.retry.base_delay = std::chrono::milliseconds{1};
-    co.retry.jitter_seed = rng.next();
+    co.retry.jitter_seed = c.next();
     return co;
   };
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
-    const std::size_t shape = campaign % 7;
+  auto describe = [](const serve::ClientResult& res) {
+    return std::string("status=") + serve::frontend_status_name(res.status) +
+           " diagnostic=" + diagnostic_name(res.diagnostic) +
+           " attempts=" + std::to_string(res.attempts);
+  };
 
-    if (shape < std::size(kNetShapes)) {
-      // One sabotaged attempt, then the retry loop must carry the SAME
-      // submission through to the ground-truth boolean. Unique tasks on
-      // even campaigns keep fresh factorizations in the mix; repeat tasks
-      // on odd ones keep the cache warm.
-      serve::ClientOptions co = client_options(rng);
-      co.fault.fault = kNetShapes[shape];
-      co.fault.seed = rng.next();
-      co.fault.on_attempt = 1;
-      // Long enough to trip the server's read deadline, with margin.
-      co.fault.stall = fo.read_deadline + std::chrono::milliseconds{500};
-      const ReductionTask task =
-          (campaign % 2 == 0) ? unique_chain_task(unique_id++)
-                              : repeat_tasks[rng.pick(repeat_tasks.size())];
-      serve::Client client(co);
-      const serve::ClientResult res = client.submit(task);
-      stats.attempts += res.attempts;
-      if (!res.ok || !res.response.certified ||
-          res.response.value != task.expected()) {
-        if (res.ok && res.response.certified) ++stats.wrong_answers;
-        fail(campaign,
-             res.ok ? "WRONG ANSWER through the socket" : "SUBMISSION LOST",
-             describe(res));
-        break;
-      }
-      ++stats.certified;
-      log << "campaign " << campaign << " net-"
-          << serve::net_fault_name(co.fault.fault)
-          << " certified attempts=" << res.attempts << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-%s: certified (%zu attempts)\n",
-                    campaign, serve::net_fault_name(co.fault.fault),
-                    res.attempts);
-      }
-    } else if (shape == std::size(kNetShapes)) {
-      // Connection-bound overload: pin every slot with idle raw
-      // connections, then a submission MUST be refused as classified
-      // kOverloaded — and succeed once the pins release.
-      std::vector<int> pins;
-      for (std::size_t p = 0; p < fo.max_connections; ++p) {
-        const int fd = raw_connect(fo.unix_path);
-        if (fd >= 0) pins.push_back(fd);
-      }
-      if (pins.size() != fo.max_connections) {
-        for (int fd : pins) ::close(fd);
-        fail(campaign, "PIN SETUP FAILED",
-             std::to_string(pins.size()) + " of " +
-                 std::to_string(fo.max_connections) + " pins connected");
-        break;
-      }
-      serve::ClientOptions co = client_options(rng);
-      co.retry.max_attempts = 2;  // both land on a full house
-      serve::Client refused_client(co);
-      const ReductionTask task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      const serve::ClientResult refused = refused_client.submit(task);
-      const std::uint64_t closes_before = frontend.stats().clean_closes;
-      for (int fd : pins) ::close(fd);
-      if (refused.ok ||
-          refused.status != serve::FrontendStatus::kOverloaded ||
-          refused.diagnostic != Diagnostic::kOverloaded ||
-          classify_diagnostic(refused.diagnostic) !=
-              FailureKind::kTransient) {
-        fail(campaign, "OVERLOAD NOT CLASSIFIED", describe(refused));
-        break;
-      }
-      // The shed is transient and the pins are gone: the same task must
-      // now go straight through.
-      if (!wait_until([&] {
-            return frontend.stats().clean_closes > closes_before;
-          })) {
-        fail(campaign, "PINS NEVER RELEASED",
-             "clean_closes never advanced after closing the pinned "
-             "connections");
-        break;
-      }
-      serve::Client retry_client(client_options(rng));
-      const serve::ClientResult res = retry_client.submit(task);
-      stats.attempts += refused.attempts + res.attempts;
-      if (!res.ok || !res.response.certified ||
-          res.response.value != task.expected()) {
-        if (res.ok && res.response.certified) ++stats.wrong_answers;
-        fail(campaign, "POST-OVERLOAD SUBMISSION LOST", describe(res));
-        break;
-      }
-      ++stats.certified;
-      log << "campaign " << campaign << " net-overload shed then served\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-overload: shed as %s, then served\n",
-                    campaign, serve::frontend_status_name(refused.status));
-      }
-    } else {
-      // Clean round-trip, twice: the first certifies fresh (or refreshes
-      // the cache), the immediate repeat MUST be served from the verified
-      // result cache — through the socket.
-      const ReductionTask task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      serve::Client client(client_options(rng));
-      const serve::ClientResult first = client.submit(task);
-      const serve::ClientResult second = client.submit(task);
-      stats.attempts += first.attempts + second.attempts;
-      for (const serve::ClientResult* res : {&first, &second}) {
-        if (!res->ok || !res->response.certified ||
-            res->response.value != task.expected()) {
-          if (res->ok && res->response.certified) ++stats.wrong_answers;
-          fail(campaign, "CLEAN ROUND-TRIP LOST", describe(*res));
-          break;
-        }
-        ++stats.certified;
-      }
-      if (!ok) break;
-      if (!second.response.from_cache) {
-        fail(campaign, "CACHE MISSED THROUGH THE SOCKET",
-             "immediate repeat of an identical task re-factored");
-        break;
-      }
-      log << "campaign " << campaign << " net-clean cached repeat ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-clean: cached repeat ok\n", campaign);
-      }
+  // One client submission against the zero-wrong-answer contract; `what`
+  // labels the violation.
+  auto answered = [&](const std::string& what, const ReductionTask& task,
+                      const serve::ClientResult& res) {
+    r.ledger.attempts += res.attempts;
+    if (!res.ok || !res.response.certified ||
+        res.response.value != task.expected()) {
+      if (res.ok && res.response.certified) ++r.ledger.wrong_answers;
+      return r.fail(what, describe(res));
     }
-  }
+    ++r.ledger.certified;
+    return true;
+  };
+
+  // One sabotaged attempt, then the retry loop must carry the SAME
+  // submission through to the ground-truth boolean. Unique tasks on even
+  // campaigns keep fresh factorizations in the mix; repeat tasks on odd ones
+  // keep the cache warm.
+  auto sabotage = [&](Campaign& c, serve::NetFault fault) {
+    serve::ClientOptions co = client_options(c);
+    co.fault.fault = fault;
+    co.fault.seed = c.next();
+    co.fault.on_attempt = 1;
+    // Long enough to trip the server's read deadline, with margin.
+    co.fault.stall = fo.read_deadline + std::chrono::milliseconds{500};
+    const ReductionTask task =
+        (c.index % 2 == 0) ? unique_chain_task(unique_id++)
+                           : repeat_tasks[c.pick(repeat_tasks.size())];
+    const serve::ClientResult res = serve::Client(co).submit(task);
+    if (!answered(res.ok ? "WRONG ANSWER through the socket"
+                         : "SUBMISSION LOST",
+                  task, res)) {
+      return false;
+    }
+    r.note("certified attempts=" + std::to_string(res.attempts));
+    return true;
+  };
+
+  // Connection-bound overload: pin every slot with idle raw connections,
+  // then a submission MUST be refused as classified kOverloaded — and
+  // succeed once the pins release.
+  auto overload = [&](Campaign& c) {
+    std::vector<int> pins;
+    for (std::size_t p = 0; p < fo.max_connections; ++p) {
+      const int fd = raw_connect(fo.unix_path);
+      if (fd >= 0) pins.push_back(fd);
+    }
+    if (pins.size() != fo.max_connections) {
+      for (int fd : pins) ::close(fd);
+      return r.fail("PIN SETUP FAILED",
+                    std::to_string(pins.size()) + " of " +
+                        std::to_string(fo.max_connections) +
+                        " pins connected");
+    }
+    serve::ClientOptions co = client_options(c);
+    co.retry.max_attempts = 2;  // both land on a full house
+    const ReductionTask task = repeat_tasks[c.pick(repeat_tasks.size())];
+    const serve::ClientResult refused = serve::Client(co).submit(task);
+    const std::uint64_t closes_before = frontend.stats().clean_closes;
+    for (int fd : pins) ::close(fd);
+    r.ledger.attempts += refused.attempts;
+    if (refused.ok || refused.status != serve::FrontendStatus::kOverloaded ||
+        refused.diagnostic != Diagnostic::kOverloaded ||
+        classify_diagnostic(refused.diagnostic) != FailureKind::kTransient) {
+      return r.fail("OVERLOAD NOT CLASSIFIED", describe(refused));
+    }
+    // The shed is transient and the pins are gone: the same task must now
+    // go straight through.
+    if (!wait_until([&] {
+          return frontend.stats().clean_closes > closes_before;
+        })) {
+      return r.fail("PINS NEVER RELEASED",
+                    "clean_closes never advanced after closing the pinned "
+                    "connections");
+    }
+    const serve::ClientResult res =
+        serve::Client(client_options(c)).submit(task);
+    if (!answered("POST-OVERLOAD SUBMISSION LOST", task, res)) return false;
+    r.note("shed then served");
+    return true;
+  };
+
+  // Clean round-trip, twice: the first certifies fresh (or refreshes the
+  // cache), the immediate repeat MUST be served from the verified result
+  // cache — through the socket.
+  auto clean = [&](Campaign& c) {
+    const ReductionTask task = repeat_tasks[c.pick(repeat_tasks.size())];
+    serve::Client client(client_options(c));
+    const serve::ClientResult first = client.submit(task);
+    const serve::ClientResult second = client.submit(task);
+    if (!answered("CLEAN ROUND-TRIP LOST", task, first) ||
+        !answered("CLEAN ROUND-TRIP LOST", task, second)) {
+      return false;
+    }
+    if (!second.response.from_cache) {
+      return r.fail("CACHE MISSED THROUGH THE SOCKET",
+                    "immediate repeat of an identical task re-factored");
+    }
+    r.note("cached repeat ok");
+    return true;
+  };
 
   // Graceful drain: complete a request AFTER begin_drain and require the
   // classified kDraining refusal — the last FrontendStatus the campaign
   // shapes cannot produce — then require the loop to actually exit.
-  if (ok) {
+  auto drain = [&] {
     const int fd = raw_connect(fo.unix_path);
     if (fd < 0) {
-      fail(opt.campaigns, "DRAIN CONN FAILED", "connect refused before drain");
-    } else {
-      const std::string frame = raw_request_frame(repeat_tasks[0]);
-      const std::size_t half = frame.size() / 2;
-      bool sent = write_all(fd, frame.data(), half);
-      frontend.begin_drain();
-      sent = sent && write_all(fd, frame.data() + half, frame.size() - half);
-      serve::FrameType type = serve::FrameType::kResponse;
-      std::string payload;
-      serve::FrontendResponse resp;
-      const serve::WireStatus ws =
-          sent ? serve::read_frame(fd, type, payload,
-                                   std::chrono::steady_clock::now() +
-                                       std::chrono::seconds(5))
-               : serve::WireStatus::kConnReset;
-      if (ws != serve::WireStatus::kOk ||
-          type != serve::FrameType::kResponse ||
-          !serve::decode_response(payload, resp) ||
-          resp.status != serve::FrontendStatus::kDraining) {
-        fail(opt.campaigns, "DRAIN REFUSAL NOT CLASSIFIED",
-             std::string("wire=") + serve::wire_status_name(ws) +
-                 " status=" + serve::frontend_status_name(resp.status));
-      }
-      ::close(fd);
-      if (ok && !wait_until([&] { return frontend.drained(); })) {
-        fail(opt.campaigns, "DRAIN NEVER FINISHED",
-             "event loop still live 5s after begin_drain");
-      }
+      return r.fail("DRAIN CONN FAILED", "connect refused before drain");
     }
-  }
+    const std::string frame = raw_request_frame(repeat_tasks[0]);
+    const std::size_t half = frame.size() / 2;
+    bool sent = write_all(fd, frame.data(), half);
+    frontend.begin_drain();
+    sent = sent && write_all(fd, frame.data() + half, frame.size() - half);
+    serve::FrameType type = serve::FrameType::kResponse;
+    std::string payload;
+    serve::FrontendResponse resp;
+    const serve::WireStatus ws =
+        sent ? serve::read_frame(fd, type, payload,
+                                 std::chrono::steady_clock::now() +
+                                     std::chrono::seconds(5))
+             : serve::WireStatus::kConnReset;
+    ::close(fd);
+    if (ws != serve::WireStatus::kOk || type != serve::FrameType::kResponse ||
+        !serve::decode_response(payload, resp) ||
+        resp.status != serve::FrontendStatus::kDraining) {
+      return r.fail("DRAIN REFUSAL NOT CLASSIFIED",
+                    std::string("wire=") + serve::wire_status_name(ws) +
+                        " status=" + serve::frontend_status_name(resp.status));
+    }
+    if (!wait_until([&] { return frontend.drained(); })) {
+      return r.fail("DRAIN NEVER FINISHED",
+                    "event loop still live 5s after begin_drain");
+    }
+    return true;
+  };
 
-  // Coverage: a full-length soak must have ended conversations in EVERY
-  // FrontendStatus class — accepted, malformed, deadline, conn-reset,
-  // overloaded, draining. A class never hit means a chaos shape silently
-  // stopped exercising its path.
+  std::vector<Shape> shapes;
+  for (serve::NetFault fault :
+       {serve::NetFault::kTornFrame, serve::NetFault::kMidFrameClose,
+        serve::NetFault::kDribble, serve::NetFault::kStalledReader,
+        serve::NetFault::kGarbagePreamble}) {
+    shapes.push_back({std::string("net-") + serve::net_fault_name(fault),
+                      [&, fault](Campaign& c) { return sabotage(c, fault); }});
+  }
+  shapes.push_back({"net-overload", overload});
+  shapes.push_back({"net-clean", clean});
+  r.run(shapes);
+  if (r.held()) drain();
   const serve::Frontend::Stats fs = frontend.stats();
-  if (ok && opt.campaigns >= 7) {
-    for (serve::FrontendStatus s : serve::all_frontend_statuses()) {
-      if (fs.status(s) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: FrontendStatus "
-            << serve::frontend_status_name(s)
-            << " never observed through the socket\n";
-        ok = false;
-      }
-    }
-  }
-  // The chaos stayed in the transport: the warm pool behind the service
-  // ends the soak at full strength.
-  if (ok && service.pool().live_workers() != so.pool.workers) {
-    ++stats.broken_contracts;
-    log << "RESPAWN GAP: " << service.pool().live_workers() << " of "
-        << so.pool.workers << " warm workers alive at end of soak\n";
-    ok = false;
-  }
+  r.cover("FrontendStatus", serve::all_frontend_statuses(),
+          serve::frontend_status_name,
+          [&](serve::FrontendStatus s) { return fs.status(s); });
+  // The chaos stayed in the transport.
+  require_full_pool(r, service, so.pool.workers);
 
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts << " conns=" << fs.conns_accepted;
+  Summary summary = {{"certified", r.ledger.certified},
+                     {"attempts", r.ledger.attempts},
+                     {"conns", fs.conns_accepted}};
   for (serve::FrontendStatus s : serve::all_frontend_statuses()) {
-    log << " " << serve::frontend_status_name(s) << "=" << fs.status(s);
+    summary.emplace_back(serve::frontend_status_name(s), fs.status(s));
   }
-  log << " clean-closes=" << fs.clean_closes
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --net: %zu certified, %zu attempts, %llu conns "
-      "(accepted %llu, malformed %llu, deadline %llu, conn-reset %llu, "
-      "overloaded %llu, draining %llu), %zu wrong answers, "
-      "%zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(fs.conns_accepted),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kAccepted)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kMalformedFrame)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kDeadline)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kConnReset)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kOverloaded)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kDraining)),
-      stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all net campaigns held the contract\n");
-  return 0;
+  summary.emplace_back("clean-closes", fs.clean_closes);
+  return summary;
 }
 
 // --- shard mode: chaos against the sharded self-healing router --------------
@@ -1157,9 +1166,8 @@ char proc_state(pid_t pid) {
   return state;
 }
 
-int run_shard_campaigns(const Options& opt, std::ofstream& log) {
+Summary run_shard(Runner& r) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
-
   serve::RouterOptions ro;
   ro.shards = 3;
   ro.service.dispatchers = 1;
@@ -1173,8 +1181,7 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
   ro.probe_deadline = std::chrono::milliseconds{300};
   ro.restart.base_delay = std::chrono::milliseconds{5};
   ro.restart.max_delay = std::chrono::milliseconds{50};
-  ro.restart.jitter_seed = opt.seed;
-  serve::ShardRouter router(ro);
+  ro.restart.jitter_seed = r.opt.seed;
 
   // The unsharded baseline: the SAME service template in one process. Every
   // fresh certified answer the router hands out must match it bit for bit —
@@ -1182,40 +1189,27 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
   // failover re-runs the whole deterministic reduction rather than resuming
   // a half-trusted one. Memoized per content-address key so the baseline is
   // computed fresh (with a full trace) exactly once per distinct task.
+  //
+  // Built BEFORE the router, so even the first fleet spawn forks beside a
+  // live WarmPool: a shard that inherited the pool's pipes would pass its
+  // health probes yet fail every fresh job (the co-hosting gray failure).
   serve::ReductionService baseline(ro.service);
   std::map<std::string, std::pair<bool, factor::PivotTrace>> expected_runs;
-
-  SoakStats stats;
-  bool ok = true;
+  serve::ShardRouter router(ro);
   std::uint64_t unique_id = 0;
-  std::size_t sheds_survived = 0;
-  std::size_t downs_survived = 0;
-
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/shard_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
 
   // One answered (routed or failed-over) result against ground truth and
   // the unsharded baseline.
-  auto check_answer = [&](std::size_t campaign, const ReductionTask& task,
-                          const serve::RouteResult& r) {
-    if (!r.response.certified || r.response.value != task.expected()) {
-      if (r.response.certified) ++stats.wrong_answers;
-      fail(campaign,
-           r.response.certified ? "WRONG ANSWER through the router"
-                                : "ANSWER NOT CERTIFIED",
-           std::string("status=") + serve::router_status_name(r.status) +
-               " shard=" + std::to_string(r.shard) + " " + task.describe());
-      return false;
+  auto check_answer = [&](const ReductionTask& task,
+                          const serve::RouteResult& res) {
+    if (!res.response.certified || res.response.value != task.expected()) {
+      if (res.response.certified) ++r.ledger.wrong_answers;
+      return r.fail(res.response.certified ? "WRONG ANSWER through the router"
+                                           : "ANSWER NOT CERTIFIED",
+                    std::string("status=") +
+                        serve::router_status_name(res.status) +
+                        " shard=" + std::to_string(res.shard) + " " +
+                        task.describe());
     }
     const std::string key =
         serve::ResultCache::key_for(task, Substrate::kDouble);
@@ -1223,33 +1217,32 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
     if (it == expected_runs.end()) {
       const serve::ServiceResponse base = baseline.run(task);
       if (!base.report.certified || base.report.value != task.expected()) {
-        fail(campaign, "UNSHARDED BASELINE NOT CERTIFIED",
-             base.report.to_string());
-        return false;
+        return r.fail("UNSHARDED BASELINE NOT CERTIFIED",
+                      base.report.to_string());
       }
       it = expected_runs
                .emplace(key, std::make_pair(base.report.value,
                                             base.report.final_report.trace))
                .first;
     }
-    if (r.response.value != it->second.first) {
-      ++stats.wrong_answers;
-      fail(campaign, "SHARDED VALUE DIVERGED FROM UNSHARDED BASELINE",
-           task.describe());
-      return false;
+    if (res.response.value != it->second.first) {
+      ++r.ledger.wrong_answers;
+      return r.fail("SHARDED VALUE DIVERGED FROM UNSHARDED BASELINE",
+                    task.describe());
     }
     // Cache hits legitimately travel without a trace; every fresh answer
     // must replay the baseline's pivot decisions event for event.
-    if (!r.response.from_cache &&
-        !traces_equal(r.response.report.trace, it->second.second)) {
-      ++stats.wrong_answers;
-      fail(campaign, "SHARDED TRACE DIVERGED FROM UNSHARDED BASELINE",
-           task.describe() + " baseline=" +
-               std::to_string(it->second.second.size()) + " events, sharded=" +
-               std::to_string(r.response.report.trace.size()) + " events");
-      return false;
+    if (!res.response.from_cache &&
+        !traces_equal(res.response.report.trace, it->second.second)) {
+      ++r.ledger.wrong_answers;
+      return r.fail(
+          "SHARDED TRACE DIVERGED FROM UNSHARDED BASELINE",
+          task.describe() + " baseline=" +
+              std::to_string(it->second.second.size()) +
+              " events, sharded=" +
+              std::to_string(res.response.report.trace.size()) + " events");
     }
-    ++stats.certified;
+    ++r.ledger.certified;
     return true;
   };
 
@@ -1257,308 +1250,261 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
   // Every non-answer along the way must be a CLASSIFIED transient refusal —
   // the availability half of the contract: a request is never lost, only
   // answered or refused with a diagnostic a backoff loop can act on.
-  auto answer_through_chaos = [&](std::size_t campaign,
-                                  const ReductionTask& task) {
+  auto answer_through_chaos = [&](const ReductionTask& task) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (std::chrono::steady_clock::now() < deadline) {
-      const serve::RouteResult r = router.submit(task);
-      ++stats.attempts;
-      switch (r.status) {
+      const serve::RouteResult res = router.submit(task);
+      ++r.ledger.attempts;
+      const Diagnostic diag = res.response.report.diagnostic;
+      switch (res.status) {
         case serve::RouterStatus::kRouted:
         case serve::RouterStatus::kFailedOver:
-          return check_answer(campaign, task, r);
+          return check_answer(task, res);
         case serve::RouterStatus::kBrownoutShed:
-          if (r.response.report.diagnostic != Diagnostic::kOverloaded ||
-              r.response.certified) {
-            fail(campaign, "BROWNOUT SHED NOT CLASSIFIED",
-                 diagnostic_name(r.response.report.diagnostic));
-            return false;
+          if (diag != Diagnostic::kOverloaded || res.response.certified) {
+            return r.fail("BROWNOUT SHED NOT CLASSIFIED",
+                          diagnostic_name(diag));
           }
-          ++sheds_survived;
           break;
         case serve::RouterStatus::kAllShardsDown:
-          if (classify_diagnostic(r.response.report.diagnostic) !=
-                  FailureKind::kTransient ||
-              r.response.certified) {
-            fail(campaign, "FULL-OUTAGE REFUSAL NOT TRANSIENT",
-                 diagnostic_name(r.response.report.diagnostic));
-            return false;
+          if (classify_diagnostic(diag) != FailureKind::kTransient ||
+              res.response.certified) {
+            return r.fail("FULL-OUTAGE REFUSAL NOT TRANSIENT",
+                          diagnostic_name(diag));
           }
-          ++downs_survived;
           break;
       }
       // A refusal is the router telling us to back off; oblige briefly so
       // the supervision loop gets cycles to heal the fleet.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    fail(campaign, "NEVER ANSWERED", task.describe());
-    return false;
+    return r.fail("NEVER ANSWERED", task.describe());
   };
 
-  if (!router.wait_all_serving(std::chrono::seconds(30))) {
-    fail(0, "FLEET NEVER CAME UP", "initial wait_all_serving timed out");
-    return fail_exit(opt);
-  }
-
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
+  // Clean cached round-trip: a healthy fleet routes a repeat task to its
+  // home shard twice; both answers certify.
+  auto clean = [&](Campaign& c) {
+    const ReductionTask& task = repeat_tasks[c.pick(repeat_tasks.size())];
+    if (!answer_through_chaos(task) || !answer_through_chaos(task)) {
+      return false;
     }
-    // The self-healing contract, asserted between EVERY pair of campaigns:
-    // whatever the previous campaign destroyed, the fleet is back at full
-    // serving strength before the next one starts.
-    if (!router.wait_all_serving(std::chrono::seconds(30))) {
-      fail(campaign, "FLEET NEVER HEALED",
-           "wait_all_serving timed out between campaigns");
-      break;
-    }
-    Stream rng{opt.seed, campaign};
-    const std::size_t shape = campaign % 6;
+    r.note(task.describe() + " ok");
+    return true;
+  };
 
-    if (shape == 0) {
-      // Clean cached round-trip: a healthy fleet routes a repeat task to
-      // its home shard twice; both answers certify.
-      const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;
-      if (!answer_through_chaos(campaign, task)) break;
-      log << "campaign " << campaign << " shard-clean "
-          << task.describe() << " ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-clean: ok\n", campaign);
-      }
-    } else if (shape == 1 || shape == 2) {
-      // Kill the HOME shard mid-stream — SIGKILL on odd shapes, a genuine
-      // SIGSEGV on even — and require the key to keep answering throughout
-      // the outage (failover) and after the heal.
-      const int sig = (shape == 1) ? SIGKILL : SIGSEGV;
-      const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;  // warm the key
-      router.kill_shard_for_testing(router.home_shard(task), sig);
-      if (!answer_through_chaos(campaign, task)) break;
-      log << "campaign " << campaign << " shard-kill-"
-          << (sig == SIGKILL ? "sigkill" : "sigsegv") << " "
-          << task.describe() << " survived\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-kill-%s: survived\n", campaign,
-                    sig == SIGKILL ? "sigkill" : "sigsegv");
-      }
-    } else if (shape == 3) {
-      // Wedge: SIGSTOP freezes a shard's event loop while waitpid sees a
-      // live child — only the probe deadline can catch it. The bulkhead
-      // contract: the wedge costs that shard's capacity, never the
-      // router's liveness, and the eviction SIGKILL leads to a heal.
-      //
-      // The inter-campaign wait_all_serving barrier is eventually
-      // consistent: a status can lag the previous campaign's kill by one
-      // supervision tick, so a first SIGSTOP may land on an unreaped corpse
-      // (kill() succeeds on a zombie, freezes nothing). The wedge contract
-      // is about LIVE shards, so confirm the stop actually froze a process
-      // (/proc state T) and retry while the supervisor settles the fleet.
-      const std::size_t victim = rng.pick(ro.shards);
-      const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;  // warm the key
-      const serve::ShardRouter::Stats before = router.stats();
-      bool wedged = false;
-      const auto stop_deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (!wedged && std::chrono::steady_clock::now() < stop_deadline) {
-        const pid_t pid = router.shard_pid(victim);
-        if (pid > 0 && router.kill_shard_for_testing(victim, SIGSTOP) &&
-            router.shard_pid(victim) == pid && proc_state(pid) == 'T') {
-          wedged = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (!wedged) {
-        fail(campaign, "WEDGE NEVER LANDED",
-             "no live shard process entered /proc state T under SIGSTOP");
-        break;
-      }
-      if (!answer_through_chaos(campaign, task)) break;  // serve through it
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (router.stats().evictions == before.evictions &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (router.stats().evictions == before.evictions) {
-        const serve::ShardRouter::Stats after = router.stats();
-        std::string detail =
-            "probe deadline did not SIGKILL the SIGSTOPped shard: victim=" +
-            std::to_string(victim) + " probes+" +
-            std::to_string(after.probes - before.probes) +
-            " probe-failures+" +
-            std::to_string(after.probe_failures - before.probe_failures) +
-            " restarts+" + std::to_string(after.restarts - before.restarts) +
-            " statuses=";
-        for (std::size_t i = 0; i < ro.shards; ++i) {
-          detail += std::string(i ? "," : "") +
-                    serve::shard_status_name(router.shard_status(i));
-        }
-        fail(campaign, "WEDGE NEVER EVICTED", detail);
-        break;
-      }
-      log << "campaign " << campaign << " shard-wedge victim=" << victim
-          << " evicted\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-wedge: evicted\n", campaign);
-      }
-    } else if (shape == 4) {
-      // Brownout entry/exit: with one shard down the router must shed a
-      // never-seen key as classified kOverloaded while a warm key keeps
-      // answering; once the fleet heals, the same fresh key is admitted.
-      const ReductionTask& warm = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, warm)) break;
-      router.kill_shard_for_testing(rng.pick(ro.shards), SIGKILL);
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (!router.browned_out() &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (!router.browned_out()) {
-        fail(campaign, "BROWNOUT NEVER ENTERED",
-             "shard killed but browned_out() stayed false");
-        break;
-      }
-      const ReductionTask fresh = unique_chain_task(unique_id++);
-      const serve::RouteResult shed = router.submit(fresh);
-      if (shed.status == serve::RouterStatus::kBrownoutShed) {
-        if (shed.response.report.diagnostic != Diagnostic::kOverloaded ||
-            classify_diagnostic(shed.response.report.diagnostic) !=
-                FailureKind::kTransient) {
-          fail(campaign, "BROWNOUT SHED NOT CLASSIFIED",
-               diagnostic_name(shed.response.report.diagnostic));
-          break;
-        }
-        ++sheds_survived;
-      }  // a heal racing the submit is legal: the shed is best-effort here
-      if (!answer_through_chaos(campaign, warm)) break;  // warm keys survive
-      if (!router.wait_all_serving(std::chrono::seconds(30))) {
-        fail(campaign, "BROWNOUT NEVER EXITED",
-             "fleet did not heal after the brownout campaign");
-        break;
-      }
-      if (!answer_through_chaos(campaign, fresh)) break;  // admitted again
-      log << "campaign " << campaign << " shard-brownout "
-          << (shed.status == serve::RouterStatus::kBrownoutShed
-                  ? "shed-then-admitted"
-                  : "healed-before-shed")
-          << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-brownout: ok\n", campaign);
-      }
-    } else {
-      // Fleet kill / restart storm: SIGKILL every shard at once. The very
-      // next submit must be the classified all-shards-down refusal (or a
-      // lucky failover into an already-respawned shard — also legal), and
-      // the supervision loop must restart the whole fleet.
-      const std::uint64_t restarts_before = router.stats().restarts;
+  // Kill the HOME shard mid-stream — SIGKILL, or a genuine SIGSEGV — and
+  // require the key to keep answering throughout the outage (failover) and
+  // after the heal.
+  auto kill_home = [&](Campaign& c, int sig) {
+    const ReductionTask& task = repeat_tasks[c.pick(repeat_tasks.size())];
+    if (!answer_through_chaos(task)) return false;  // warm the key
+    router.kill_shard_for_testing(router.home_shard(task), sig);
+    if (!answer_through_chaos(task)) return false;
+    r.note(task.describe() + " survived");
+    return true;
+  };
+
+  // Wedge: SIGSTOP freezes a shard's event loop while waitpid sees a live
+  // child — only the probe deadline can catch it. The bulkhead contract:
+  // the wedge costs that shard's capacity, never the router's liveness, and
+  // the eviction SIGKILL leads to a heal.
+  //
+  // The between-campaign wait_all_serving barrier is eventually consistent:
+  // a status can lag the previous campaign's kill by one supervision tick,
+  // so a first SIGSTOP may land on an unreaped corpse (kill() succeeds on a
+  // zombie, freezes nothing). The wedge contract is about LIVE shards, so
+  // confirm the stop actually froze a process (/proc state T) and retry
+  // while the supervisor settles the fleet.
+  auto wedge = [&](Campaign& c) {
+    const std::size_t victim = c.pick(ro.shards);
+    const ReductionTask& task = repeat_tasks[c.pick(repeat_tasks.size())];
+    if (!answer_through_chaos(task)) return false;  // warm the key
+    const serve::ShardRouter::Stats before = router.stats();
+    const bool wedged = wait_until(
+        [&] {
+          const pid_t pid = router.shard_pid(victim);
+          return pid > 0 && router.kill_shard_for_testing(victim, SIGSTOP) &&
+                 router.shard_pid(victim) == pid && proc_state(pid) == 'T';
+        },
+        std::chrono::seconds(15));
+    if (!wedged) {
+      return r.fail("WEDGE NEVER LANDED",
+                    "no live shard process entered /proc state T under "
+                    "SIGSTOP");
+    }
+    if (!answer_through_chaos(task)) return false;  // serve through it
+    if (!wait_until(
+            [&] { return router.stats().evictions != before.evictions; },
+            std::chrono::seconds(15))) {
+      const serve::ShardRouter::Stats after = router.stats();
+      std::string detail =
+          "probe deadline did not SIGKILL the SIGSTOPped shard: victim=" +
+          std::to_string(victim) +
+          " probes+" + std::to_string(after.probes - before.probes) +
+          " probe-failures+" +
+          std::to_string(after.probe_failures - before.probe_failures) +
+          " restarts+" + std::to_string(after.restarts - before.restarts) +
+          " statuses=";
       for (std::size_t i = 0; i < ro.shards; ++i) {
-        router.kill_shard_for_testing(i, SIGKILL);
+        detail += std::string(i ? "," : "") +
+                  serve::shard_status_name(router.shard_status(i));
       }
-      const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;
-      if (!router.wait_all_serving(std::chrono::seconds(30))) {
-        fail(campaign, "RESTART STORM NEVER HEALED",
-             "fleet did not return to serving after a full kill");
-        break;
-      }
-      if (router.stats().restarts < restarts_before + ro.shards) {
-        fail(campaign, "RESTARTS NOT ACCOUNTED",
-             "fewer respawns than shards killed");
-        break;
-      }
-      log << "campaign " << campaign << " shard-fleet-kill survived\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-fleet-kill: survived\n", campaign);
-      }
+      return r.fail("WEDGE NEVER EVICTED", detail);
     }
+    r.note("victim=" + std::to_string(victim) + " evicted");
+    return true;
+  };
+
+  // Brownout entry/exit: with one shard down the router must shed a
+  // never-seen key as classified kOverloaded while a warm key keeps
+  // answering; once the fleet heals, the same fresh key is admitted.
+  auto brownout = [&](Campaign& c) {
+    const ReductionTask& warm = repeat_tasks[c.pick(repeat_tasks.size())];
+    if (!answer_through_chaos(warm)) return false;
+    router.kill_shard_for_testing(c.pick(ro.shards), SIGKILL);
+    if (!wait_until([&] { return router.browned_out(); },
+                    std::chrono::seconds(15))) {
+      return r.fail("BROWNOUT NEVER ENTERED",
+                    "shard killed but browned_out() stayed false");
+    }
+    const ReductionTask fresh = unique_chain_task(unique_id++);
+    const serve::RouteResult shed = router.submit(fresh);
+    const bool was_shed = shed.status == serve::RouterStatus::kBrownoutShed;
+    if (was_shed) {
+      const Diagnostic diag = shed.response.report.diagnostic;
+      if (diag != Diagnostic::kOverloaded ||
+          classify_diagnostic(diag) != FailureKind::kTransient) {
+        return r.fail("BROWNOUT SHED NOT CLASSIFIED", diagnostic_name(diag));
+      }
+    }  // a heal racing the submit is legal: the shed is best-effort here
+    if (!answer_through_chaos(warm)) return false;  // warm keys survive
+    if (!router.wait_all_serving(std::chrono::seconds(30))) {
+      return r.fail("BROWNOUT NEVER EXITED",
+                    "fleet did not heal after the brownout campaign");
+    }
+    if (!answer_through_chaos(fresh)) return false;  // admitted again
+    r.note(was_shed ? "shed-then-admitted" : "healed-before-shed");
+    return true;
+  };
+
+  // Fleet kill / restart storm: SIGKILL every shard at once. The very next
+  // submit must be the classified all-shards-down refusal (or a lucky
+  // failover into an already-respawned shard — also legal), and the
+  // supervision loop must restart the whole fleet.
+  auto fleet_kill = [&](Campaign& c) {
+    const std::uint64_t restarts_before = router.stats().restarts;
+    for (std::size_t i = 0; i < ro.shards; ++i) {
+      router.kill_shard_for_testing(i, SIGKILL);
+    }
+    const ReductionTask& task = repeat_tasks[c.pick(repeat_tasks.size())];
+    if (!answer_through_chaos(task)) return false;
+    if (!router.wait_all_serving(std::chrono::seconds(30))) {
+      return r.fail("RESTART STORM NEVER HEALED",
+                    "fleet did not return to serving after a full kill");
+    }
+    if (router.stats().restarts < restarts_before + ro.shards) {
+      return r.fail("RESTARTS NOT ACCOUNTED",
+                    "fewer respawns than shards killed");
+    }
+    r.note("survived");
+    return true;
+  };
+
+  std::vector<Shape> shapes = {
+      {"shard-clean", clean},
+      {"shard-kill-sigkill",
+       [&](Campaign& c) { return kill_home(c, SIGKILL); }},
+      {"shard-kill-sigsegv",
+       [&](Campaign& c) { return kill_home(c, SIGSEGV); }},
+      {"shard-wedge", wedge},
+      {"shard-brownout", brownout},
+      {"shard-fleet-kill", fleet_kill}};
+  // Every shard shape starts with the self-healing contract: whatever the
+  // previous campaign destroyed, the fleet is back at full serving strength.
+  for (Shape& shape : shapes) {
+    shape.run = [&r, &router, run = std::move(shape.run)](Campaign& c) {
+      if (!router.wait_all_serving(std::chrono::seconds(30))) {
+        return r.fail("FLEET NEVER HEALED",
+                      "wait_all_serving timed out between campaigns");
+      }
+      return run(c);
+    };
   }
+  if (!router.wait_all_serving(std::chrono::seconds(30))) {
+    r.fail("FLEET NEVER CAME UP", "initial wait_all_serving timed out");
+  }
+  r.run(shapes);
 
   const serve::ShardRouter::Stats rs = router.stats();
-  // Every submit classified as exactly one RouterStatus: the ledger sums.
   std::uint64_t classified = 0;
   for (serve::RouterStatus s : serve::all_router_statuses()) {
     classified += rs.status(s);
   }
-  if (ok && classified != rs.submits) {
-    ++stats.broken_contracts;
-    log << "LEDGER GAP: " << rs.submits << " submits but " << classified
-        << " classified endings\n";
-    ok = false;
-  }
-  if (ok && opt.campaigns >= 6) {
-    // Full taxonomy coverage, both enums: a class never observed means a
-    // chaos shape silently stopped exercising its path.
-    for (serve::ShardStatus s : serve::all_shard_statuses()) {
-      if (rs.shard_status_seen[static_cast<std::size_t>(s)] == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: ShardStatus " << serve::shard_status_name(s)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-    for (serve::RouterStatus s : serve::all_router_statuses()) {
-      if (rs.status(s) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: RouterStatus " << serve::router_status_name(s)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-    // Cache locality: consistent hashing must keep most answers on their
-    // home shard even while campaigns keep killing it. The floor is
-    // deliberately loose (a quarter) — failover storms legitimately move
-    // traffic — but a broken ring (everything failing over) lands near 0.
-    if (rs.answered_by_home * 4 < rs.answered) {
-      ++stats.broken_contracts;
-      log << "LOCALITY GAP: only " << rs.answered_by_home << " of "
-          << rs.answered << " answers came from the home shard\n";
-      ok = false;
-    }
-  }
+  r.require(classified == rs.submits,
+            "LEDGER GAP: " + std::to_string(rs.submits) + " submits but " +
+                std::to_string(classified) + " classified endings");
+  r.cover("ShardStatus", serve::all_shard_statuses(), serve::shard_status_name,
+          [&](serve::ShardStatus s) {
+            return rs.shard_status_seen[static_cast<std::size_t>(s)];
+          });
+  r.cover("RouterStatus", serve::all_router_statuses(),
+          serve::router_status_name,
+          [&](serve::RouterStatus s) { return rs.status(s); });
+  // Cache locality: consistent hashing must keep most answers on their home
+  // shard even while campaigns keep killing it. The floor is deliberately
+  // loose (a quarter) — failover storms legitimately move traffic — but a
+  // broken ring (everything failing over) lands near 0.
+  r.require(r.rotations() == 0 || rs.answered_by_home * 4 >= rs.answered,
+            "LOCALITY GAP: only " + std::to_string(rs.answered_by_home) +
+                " of " + std::to_string(rs.answered) +
+                " answers came from the home shard");
 
-  log << "summary certified=" << stats.certified
-      << " submits=" << rs.submits << " routed="
-      << rs.status(serve::RouterStatus::kRouted) << " failed-over="
-      << rs.status(serve::RouterStatus::kFailedOver) << " brownout-shed="
-      << rs.status(serve::RouterStatus::kBrownoutShed) << " all-shards-down="
-      << rs.status(serve::RouterStatus::kAllShardsDown)
-      << " failover-hops=" << rs.failover_hops << " restarts=" << rs.restarts
-      << " evictions=" << rs.evictions << " probes=" << rs.probes
-      << " probe-failures=" << rs.probe_failures
-      << " answered=" << rs.answered
-      << " answered-by-home=" << rs.answered_by_home
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --shard: %zu certified, %llu submits "
-      "(routed %llu, failed-over %llu, brownout-shed %llu, "
-      "all-shards-down %llu), %llu restarts, %llu evictions, "
-      "%llu/%llu answers by home shard, %zu sheds survived, "
-      "%zu outages survived, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, static_cast<unsigned long long>(rs.submits),
-      static_cast<unsigned long long>(rs.status(serve::RouterStatus::kRouted)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kFailedOver)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kBrownoutShed)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kAllShardsDown)),
-      static_cast<unsigned long long>(rs.restarts),
-      static_cast<unsigned long long>(rs.evictions),
-      static_cast<unsigned long long>(rs.answered_by_home),
-      static_cast<unsigned long long>(rs.answered), sheds_survived,
-      downs_survived, stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
+  Summary summary = {{"certified", r.ledger.certified},
+                     {"submits", rs.submits}};
+  for (serve::RouterStatus s : serve::all_router_statuses()) {
+    summary.emplace_back(serve::router_status_name(s), rs.status(s));
   }
-  std::printf("pfact_soak: all shard campaigns held the contract\n");
-  return 0;
+  summary.insert(summary.end(), {{"failover-hops", rs.failover_hops},
+                                 {"restarts", rs.restarts},
+                                 {"evictions", rs.evictions},
+                                 {"probes", rs.probes},
+                                 {"probe-failures", rs.probe_failures},
+                                 {"answered", rs.answered},
+                                 {"answered-by-home", rs.answered_by_home}});
+  return summary;
+}
+
+// --- command line -----------------------------------------------------------
+
+// Indexed by Mode; the default mode has no flag.
+struct ModeRow {
+  const char* flag;
+  Summary (*run)(Runner&);
+};
+
+constexpr ModeRow kModes[] = {
+    {"", run_fault},
+    {"--kill-only", run_kill},
+    {"--serve", run_serve},
+    {"--net", run_net},
+    {"--shard", run_shard},
+};
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: pfact_soak [--campaigns N] [--seed S] [--log FILE] "
+               "[--fail-dir DIR] [--kill-only | --serve | --net | --shard] "
+               "[--inject-violation N] [--verbose]\n"
+               "  N and S are unsigned decimal integers; --campaigns >= 1\n");
+  return 2;
+}
+
+// A whole unsigned decimal number: no sign, no junk, no overflow.
+bool parse_number(const char* text, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && ptr != text;
 }
 
 }  // namespace
@@ -1567,40 +1513,37 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
+    const bool has_value = i + 1 < argc;
+    auto text = [&](std::string& out) {
+      if (!has_value) return false;
+      out = argv[++i];
+      return true;
     };
-    if (arg == "--campaigns") {
-      opt.campaigns = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--log") {
-      opt.log_path = value();
-    } else if (arg == "--fail-dir") {
-      opt.fail_dir = value();
-    } else if (arg == "--kill-only") {
-      opt.kill_only = true;
-    } else if (arg == "--serve") {
-      opt.serve = true;
-    } else if (arg == "--net") {
-      opt.net = true;
-    } else if (arg == "--shard") {
-      opt.shard = true;
-    } else if (arg == "--inject-violation") {
-      opt.inject_violation =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+    auto number = [&](auto& out) {
+      std::uint64_t n = 0;
+      if (!has_value || !parse_number(argv[++i], n)) return false;
+      out = n;
+      return true;
+    };
+    std::size_t mode = 1;
+    while (mode < std::size(kModes) && arg != kModes[mode].flag) ++mode;
+    if (mode < std::size(kModes)) {
+      if (opt.mode != Mode::kFault) return usage();  // the modes are exclusive
+      opt.mode = static_cast<Mode>(mode);
     } else if (arg == "--verbose") {
       opt.verbose = true;
+    } else if (arg == "--log") {
+      if (!text(opt.log_path)) return usage();
+    } else if (arg == "--fail-dir") {
+      if (!text(opt.fail_dir)) return usage();
+    } else if (arg == "--campaigns") {
+      if (!number(opt.campaigns) || opt.campaigns == 0) return usage();
+    } else if (arg == "--seed") {
+      if (!number(opt.seed)) return usage();
+    } else if (arg == "--inject-violation") {
+      if (!number(opt.inject_violation)) return usage();
     } else {
-      std::fprintf(stderr,
-                   "usage: pfact_soak [--campaigns N] [--seed S] [--log FILE] "
-                   "[--fail-dir DIR] [--kill-only] [--serve] [--net] "
-                   "[--shard] [--inject-violation N] [--verbose]\n");
-      return 2;
+      return usage();
     }
   }
 
@@ -1609,189 +1552,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open log file %s\n", opt.log_path.c_str());
     return 2;
   }
-  log << "pfact_soak seed=" << opt.seed << " campaigns=" << opt.campaigns
-      << (opt.kill_only ? " kill-only" : "") << (opt.serve ? " serve" : "")
-      << (opt.net ? " net" : "") << (opt.shard ? " shard" : "") << "\n";
+  const ModeRow& mode = kModes[static_cast<std::size_t>(opt.mode)];
+  log << "pfact_soak seed=" << opt.seed << " campaigns=" << opt.campaigns;
+  if (opt.mode != Mode::kFault) log << " " << mode.flag + 2;  // flag's word
+  log << "\n";
 
-  if (opt.shard) return run_shard_campaigns(opt, log);
-  if (opt.net) return run_net_campaigns(opt, log);
-  if (opt.serve) return run_serve_campaigns(opt, log);
-  if (opt.kill_only) return run_kill_campaigns(opt, log);
-
-  const std::vector<ReductionTask> pool = build_task_pool();
-  const std::vector<FaultClass> faults = all_fault_classes();
-  SoakStats stats;
-  bool ok = true;
-
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
-    const ReductionTask& task = pool[rng.pick(pool.size())];
-
-    ResilientOptions ro;
-    ro.retry.max_attempts = 3;
-    ro.retry.base_delay = std::chrono::milliseconds{1};
-    ro.retry.jitter_seed = rng.next();
-    // No sleeper installed: backoffs are recorded, not slept — the campaign
-    // stream is wall-clock independent.
-
-    const std::uint64_t shape = rng.pick(5);
-    const char* shape_name = "?";
-    CheckpointStore store;
-
-    switch (shape) {
-      case 0: {  // fault-sweep: one persistent fault across all attempts
-        shape_name = "fault-sweep";
-        FaultPlan plan;
-        plan.fault = faults[rng.pick(faults.size())];
-        plan.seed = rng.next();
-        ro.checkpoint_every = 2 + rng.pick(4);
-        ro.store = &store;
-        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
-        break;
-      }
-      case 1: {  // flip-ladder: rounding flip, ladder starts on SoftFloat
-        shape_name = "flip-ladder";
-        if (task.algorithm == Algorithm::kGqr) {
-          // GQR has no exact rung to escalate into; give it the full ladder
-          // from the bottom instead (the flip is harmless on long double).
-          ro.ladder = {Substrate::kDouble, Substrate::kSoftFloat53};
-        } else {
-          ro.ladder = {Substrate::kSoftFloat53, Substrate::kRational};
-        }
-        FaultPlan plan;
-        plan.fault = FaultClass::kRoundingFlip;
-        plan.seed = rng.next();
-        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
-        break;
-      }
-      case 2: {  // preemption storm: kill every attempt, finish by resume
-        shape_name = "preemption";
-        ro.checkpoint_every = 2;
-        ro.store = &store;
-        ro.limits.max_steps = 3 + rng.pick(3);
-        // Progress per kill is ~checkpoint_every steps, so crossing the
-        // largest pool task (order ~10^2) takes a few hundred kills.
-        ro.retry.max_attempts = 1024;
-        break;
-      }
-      case 3: {  // torn-write: preemption plus a blob corrupted at save
-        shape_name = "torn-write";
-        ro.checkpoint_every = 2;
-        ro.store = &store;
-        ro.limits.max_steps = 4;
-        ro.retry.max_attempts = 1024;
-        FaultPlan plan;
-        plan.fault = FaultClass::kTornWrite;
-        plan.seed = rng.next();
-        ro.fault_for_attempt = [plan](std::size_t attempt) {
-          // Tear only the first attempt's snapshot so the campaign also
-          // proves recovery, not just rejection.
-          return attempt == 1 ? plan : FaultPlan{};
-        };
-        break;
-      }
-      default: {  // kill-resume: explicit crash/resume equivalence
-        shape_name = "kill-resume";
-        // Uninterrupted baseline.
-        ResilientOptions base;
-        base.retry.max_attempts = 1;
-        const ResilientReport baseline = resilient_run(task, base);
-        if (!baseline.certified) {
-          ++stats.broken_contracts;
-          log << "campaign " << campaign << " BROKEN CONTRACT: clean run of "
-              << task.describe() << " not certified\n"
-              << baseline.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        // Kill a checkpointing run at a step boundary...
-        const std::size_t every = 2 + rng.pick(3);
-        ResilientOptions crash;
-        crash.retry.max_attempts = 1;
-        crash.checkpoint_every = every;
-        crash.store = &store;
-        crash.limits.max_steps = every * (1 + rng.pick(3));
-        const ResilientReport crashed = resilient_run(task, crash);
-        tally(crashed, stats);
-        // The killed run may legitimately finish early (the budget can
-        // exceed the task), but a certificate it does hand out must be the
-        // truth — a certified-wrong crash run is the worst possible answer.
-        if (crashed.certified && crashed.value != baseline.value) {
-          ++stats.wrong_answers;
-          log << "campaign " << campaign
-              << " WRONG ANSWER from interrupted run: " << task.describe()
-              << " baseline value=" << baseline.value << "; crashed:\n"
-              << crashed.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        // ...and hand the surviving store to a fresh engine call.
-        ResilientOptions resume;
-        resume.retry.max_attempts = 2;
-        resume.checkpoint_every = every;
-        resume.store = &store;
-        const ResilientReport resumed = resilient_run(task, resume);
-        tally(resumed, stats);
-        if (!resumed.certified || resumed.value != baseline.value ||
-            !traces_equal(resumed.final_report.trace,
-                          baseline.final_report.trace)) {
-          ++stats.broken_contracts;
-          log << "campaign " << campaign
-              << " CRASH/RESUME DIVERGENCE: " << task.describe()
-              << " baseline value=" << baseline.value
-              << " trace=" << baseline.final_report.trace.size()
-              << " events; resumed:\n"
-              << resumed.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        ++stats.certified;
-        if (opt.verbose) {
-          std::printf("campaign %zu %s %s: resumed identically (%zu events)\n",
-                      campaign, shape_name, task.describe().c_str(),
-                      resumed.final_report.trace.size());
-        }
-        log << "campaign " << campaign << " " << shape_name << " "
-            << task.describe() << " ok\n";
-        continue;
-      }
-    }
-    if (!ok) break;
-
-    const ResilientReport rep = resilient_run(task, ro);
-    tally(rep, stats);
-    ok = check_verdict(task, rep, opt, &store, campaign, log, stats);
-    if (opt.verbose) {
-      std::printf("campaign %zu %s %s: %s\n", campaign, shape_name,
-                  task.describe().c_str(),
-                  rep.certified ? "certified" : "terminal");
-    }
-    log << "campaign " << campaign << " " << shape_name << " "
-        << task.describe() << " "
-        << (rep.certified ? "certified" : "terminal") << " attempts="
-        << rep.attempts.size() << " escalations=" << rep.escalations << "\n";
-  }
-
-  log << "summary certified=" << stats.certified
-      << " terminal=" << stats.terminal << " attempts=" << stats.attempts
-      << " escalations=" << stats.escalations << " resumes=" << stats.resumes
-      << " checkpoint-rejections=" << stats.checkpoint_rejections
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak: %zu certified, %zu terminal, %zu attempts, "
-      "%zu escalations, %zu resumes, %zu checkpoint rejections, "
-      "%zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.terminal, stats.attempts, stats.escalations,
-      stats.resumes, stats.checkpoint_rejections, stats.wrong_answers,
-      stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all campaigns held the contract\n");
-  return 0;
+  Runner runner(opt, log);
+  return runner.finish(mode.run(runner));
 }
