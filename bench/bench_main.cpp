@@ -36,6 +36,7 @@
 #include "numeric/rational.h"
 #include "numeric/softfloat.h"
 #include "obs/bench_emitter.h"
+#include "robustness/checkpoint.h"
 #include "robustness/escalation.h"
 #include "robustness/guarded_run.h"
 #include "robustness/resilient_run.h"
@@ -750,7 +751,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string json = obs::BenchSuite::to_json(results, warmup, repeats);
+  const std::string json = obs::BenchSuite::to_json(
+      results, warmup, repeats, robustness::detail::crc32_kernel());
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {

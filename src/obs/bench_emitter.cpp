@@ -80,7 +80,8 @@ std::vector<BenchMeasurement> BenchSuite::run(std::size_t warmup,
 }
 
 std::string BenchSuite::to_json(const std::vector<BenchMeasurement>& results,
-                                std::size_t warmup, std::size_t repeats) {
+                                std::size_t warmup, std::size_t repeats,
+                                const char* crc32_kernel) {
   JsonWriter w;
   w.begin_object();
   w.key("schema").value(kBenchSchema);
@@ -89,6 +90,7 @@ std::string BenchSuite::to_json(const std::vector<BenchMeasurement>& results,
   w.key("host").begin_object();
   w.key("hardware_threads")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  w.key("crc32_kernel").value(crc32_kernel);
   w.key("obs_enabled").value(PFACT_OBS_ENABLED != 0);
   w.end_object();
   w.key("config").begin_object();

@@ -63,9 +63,11 @@ class BenchSuite {
                                     std::ostream* log) const;
 
   // The schema-versioned JSON document (see DESIGN.md section 8 for the
-  // field-by-field description).
+  // field-by-field description). `crc32_kernel` names the CRC-32 kernel
+  // the host ran every integrity check on; it joins the host descriptor.
   static std::string to_json(const std::vector<BenchMeasurement>& results,
-                             std::size_t warmup, std::size_t repeats);
+                             std::size_t warmup, std::size_t repeats,
+                             const char* crc32_kernel);
 
  private:
   std::vector<BenchSpec> specs_;

@@ -48,7 +48,21 @@
 namespace pfact::robustness {
 
 // CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `len` bytes.
+// On x86-64 hosts with PCLMULQDQ the bulk of a buffer of 64 bytes or more
+// runs through a carry-less-multiply folding kernel; shorter buffers, the
+// last len % 16 bytes and every other host use the slicing-by-8 tables.
 std::uint32_t crc32(const void* data, std::size_t len);
+
+namespace detail {
+
+// The table loop alone, bit-identical to crc32(): the tests' oracle.
+std::uint32_t crc32_portable(const void* data, std::size_t len);
+
+// Which bulk kernel crc32() runs on this host, chosen once at first use:
+// "pclmul-fold" or "slicing-by-8". A query, not a switch.
+const char* crc32_kernel();
+
+}  // namespace detail
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4B434650;  // "PFCK"
 // v2: sparse storage checkpoints (sparse-* field tags; CSR entry section).

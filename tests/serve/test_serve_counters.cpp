@@ -223,18 +223,22 @@ TEST(ServeCounters, FrontendTrafficCountsConnsBytesAndClientRetries) {
   FrontendOptions fo;
   fo.unix_path = "/tmp/pfact-counter-cov-" + std::to_string(::getpid()) +
                  ".sock";
-  Frontend frontend(service, fo);
-  ASSERT_TRUE(frontend.running());
+  ClientResult r;
+  {
+    Frontend frontend(service, fo);
+    ASSERT_TRUE(frontend.running());
 
-  ClientOptions co;
-  co.unix_path = frontend.unix_path();
-  co.retry.max_attempts = 3;
-  co.retry.base_delay = std::chrono::milliseconds(1);
-  co.fault.fault = NetFault::kTornFrame;
-  co.fault.seed = 7;
-  co.fault.on_attempt = 1;  // sabotage attempt 1, forcing one client retry
-  Client client(co);
-  const ClientResult r = client.submit(chain_task(6));
+    ClientOptions co;
+    co.unix_path = frontend.unix_path();
+    co.retry.max_attempts = 3;
+    co.retry.base_delay = std::chrono::milliseconds(1);
+    co.fault.fault = NetFault::kTornFrame;
+    co.fault.seed = 7;
+    co.fault.on_attempt = 1;  // sabotage attempt 1, forcing one client retry
+    Client client(co);
+    r = client.submit(chain_task(6));
+  }  // ~Frontend joins the event loop, which counts each send() only after
+     // it returns: the client can hold the whole answer before that count.
   ASSERT_TRUE(r.ok) << frontend_status_name(r.status);
   EXPECT_EQ(r.attempts, 2u);
 

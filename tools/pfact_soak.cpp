@@ -761,16 +761,20 @@ Summary run_serve(Runner& r) {
     return true;
   };
 
-  // Overload burst: pin both dispatchers on fresh (uncached) jobs, then pour
-  // in more submissions than the queue bound can hold from concurrent
-  // client threads while nothing drains. The overflow MUST be refused as
-  // classified kShedQueueFull — never queued unboundedly, never silently
-  // dropped — and every admitted job must still certify.
+  // Overload burst: pin both dispatchers on watchdog-bounded spins, as
+  // serve-deadline does, then pour in more submissions than the queue bound
+  // can hold from concurrent client threads while nothing drains. A pin
+  // holds its dispatcher for >= 200ms however fast its chain would
+  // certify, so the burst always meets a full queue. The overflow MUST be
+  // refused as classified kShedQueueFull — never queued unboundedly, never
+  // silently dropped — and every admitted job must still certify.
   auto overload = [&](Campaign& c) {
+    serve::JobOptions pin;
+    arm_kill(pin, kWedge, 0);
     const ReductionTask pin_a = unique_chain_task(unique_id++);
     const ReductionTask pin_b = unique_chain_task(unique_id++);
-    auto pa = service.submit(pin_a);
-    auto pb = service.submit(pin_b);
+    auto pa = service.submit(pin_a, pin);
+    auto pb = service.submit(pin_b, pin);
 
     constexpr std::size_t kBurst = 10;
     std::vector<ReductionTask> burst_tasks;
