@@ -91,14 +91,22 @@ Client::Client(ClientOptions options) : options_(std::move(options)) {
   ::signal(SIGPIPE, SIG_IGN);
 }
 
+Client::~Client() { disconnect(); }
+
+void Client::disconnect() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
 int Client::connect_once() {
+  int fd = -1;
   if (!options_.unix_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (options_.unix_path.size() >= sizeof(addr.sun_path)) return -1;
     std::memcpy(addr.sun_path, options_.unix_path.c_str(),
                 options_.unix_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) return -1;
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) != 0 &&
@@ -106,10 +114,8 @@ int Client::connect_once() {
       ::close(fd);
       return -1;
     }
-    return fd;
-  }
-  if (options_.tcp) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  } else if (options_.tcp) {
+    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) return -1;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -121,107 +127,19 @@ int Client::connect_once() {
       ::close(fd);
       return -1;
     }
-    return fd;
+  } else {
+    return -1;
   }
-  return -1;
+  ++connects_;
+  return fd;
 }
 
-Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
-                                    std::size_t attempt_no) {
-  PFACT_SPAN("serve.client");
+Client::Attempt Client::read_response(
+    int fd, std::chrono::steady_clock::time_point deadline, bool* any_byte) {
   Attempt a;
-  const int fd = connect_once();
-  if (fd < 0) {
-    // Nobody listening (or refused): the transport-level transient.
-    a.wire = WireStatus::kConnReset;
-    a.status = FrontendStatus::kConnReset;
-    return a;
-  }
-
-  TaskRequest req;
-  req.task = task;
-  const std::string frame = frame_bytes(FrameType::kRequest,
-                                        encode_request(req));
-
-  const NetFaultPlan& fault = options_.fault;
-  const bool sabotage = fault.fault != NetFault::kNone &&
-                        fault.on_attempt != 0 &&
-                        attempt_no == fault.on_attempt;
-  bool wrote_ok = true;
-  if (!sabotage) {
-    wrote_ok = write_all(fd, frame.data(), frame.size());
-  } else {
-    a.fault_injected = true;
-    const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
-    switch (fault.fault) {
-      case NetFault::kNone: break;  // unreachable: sabotage implies a shape
-      case NetFault::kTornFrame: {
-        // A strict prefix, then vanish — the mid-request client death.
-        const std::size_t cut = 1 + static_cast<std::size_t>(
-                                        r % (frame.size() - 1));
-        write_all(fd, frame.data(), cut);
-        ::close(fd);
-        a.wire = WireStatus::kConnReset;
-        a.status = FrontendStatus::kConnReset;
-        return a;
-      }
-      case NetFault::kMidFrameClose: {
-        // Die INSIDE the 17-byte header: the server must not even have a
-        // declared length to wait for.
-        const std::size_t cut =
-            1 + static_cast<std::size_t>(r % (kFrameHeaderBytes - 1));
-        write_all(fd, frame.data(), cut);
-        ::close(fd);
-        a.wire = WireStatus::kConnReset;
-        a.status = FrontendStatus::kConnReset;
-        return a;
-      }
-      case NetFault::kDribble: {
-        // The whole frame, one byte per write: a correct-but-slow client.
-        // This shape must SUCCEED — it proves partial-read resumption.
-        for (std::size_t i = 0; wrote_ok && i < frame.size(); ++i) {
-          wrote_ok = write_all(fd, frame.data() + i, 1);
-          if (i % 64 == 63) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        }
-        break;
-      }
-      case NetFault::kStalledReader: {
-        // Half a frame, then silence with the connection held open: the
-        // slowloris. The server's read deadline must evict us.
-        const std::size_t cut = kFrameHeaderBytes + (frame.size() -
-                                                     kFrameHeaderBytes) / 2;
-        write_all(fd, frame.data(), cut);
-        std::this_thread::sleep_for(fault.stall);
-        break;  // fall through to the read: expect kDeadline (or a close)
-      }
-      case NetFault::kGarbagePreamble: {
-        // Junk where a frame should start: the protocol-confused client.
-        std::string junk(16 + static_cast<std::size_t>(r % 32), '\0');
-        for (std::size_t i = 0; i < junk.size(); ++i) {
-          junk[i] = static_cast<char>(robustness::mix64(r, i) & 0xFF);
-        }
-        // Junk must not start with a valid magic byte sequence.
-        junk[0] = static_cast<char>(~(kFrameMagic & 0xFF));
-        write_all(fd, junk.data(), junk.size());
-        break;  // expect a kMalformedFrame refusal
-      }
-    }
-  }
-  if (!wrote_ok) {
-    ::close(fd);
-    a.wire = WireStatus::kConnReset;
-    a.status = FrontendStatus::kConnReset;
-    return a;
-  }
-
   FrameType type = FrameType::kRequest;
   std::string payload;
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.response_deadline;
-  a.wire = read_frame(fd, type, payload, deadline);
-  ::close(fd);
+  a.wire = read_frame(fd, type, payload, deadline, any_byte);
   if (a.wire != WireStatus::kOk) {
     a.status = status_for_wire(a.wire);
     return a;
@@ -237,8 +155,125 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
   return a;
 }
 
+Client::Attempt Client::exchange(
+    const std::string& frame, std::chrono::steady_clock::time_point deadline,
+    bool& stale) {
+  const bool reused = fd_ >= 0;
+  stale = false;
+  if (!reused) fd_ = connect_once();
+  // Nobody listening (or refused): the transport-level transient.
+  if (fd_ < 0) return Attempt{};
+  if (!write_all(fd_, frame.data(), frame.size())) {
+    stale = reused;
+    return Attempt{};
+  }
+  bool any_byte = false;
+  Attempt a = read_response(fd_, deadline, &any_byte);
+  stale = reused && !any_byte &&
+          (a.wire == WireStatus::kEof || a.wire == WireStatus::kConnReset);
+  return a;
+}
+
+Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
+                                    std::size_t attempt_no) {
+  PFACT_SPAN("serve.client");
+  TaskRequest req;
+  req.task = task;
+  const std::string frame = frame_bytes(FrameType::kRequest,
+                                        encode_request(req));
+
+  const NetFaultPlan& fault = options_.fault;
+  const bool sabotage = fault.fault != NetFault::kNone &&
+                        fault.on_attempt != 0 &&
+                        attempt_no == fault.on_attempt;
+  if (!sabotage) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + options_.response_deadline;
+    bool stale = false;
+    Attempt a = exchange(frame, deadline, stale);
+    if (stale) {
+      // The kept connection died while it idled: one immediate reconnect
+      // to the same address, inside this attempt and its deadline.
+      disconnect();
+      a = exchange(frame, deadline, stale);
+    }
+    if (!a.got_response || a.status != FrontendStatus::kAccepted) {
+      disconnect();
+    }
+    return a;
+  }
+
+  // The sabotage runs on a connection of its own, closed when it ends.
+  disconnect();
+  const int fd = connect_once();
+  if (fd < 0) return Attempt{};
+  const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
+  bool wrote_ok = true;
+  switch (fault.fault) {
+    case NetFault::kNone: break;  // unreachable: sabotage implies a shape
+    case NetFault::kTornFrame: {
+      // A strict prefix, then vanish — the mid-request client death.
+      const std::size_t cut =
+          1 + static_cast<std::size_t>(r % (frame.size() - 1));
+      write_all(fd, frame.data(), cut);
+      wrote_ok = false;
+      break;
+    }
+    case NetFault::kMidFrameClose: {
+      // Die INSIDE the 17-byte header: the server must not even have a
+      // declared length to wait for.
+      const std::size_t cut =
+          1 + static_cast<std::size_t>(r % (kFrameHeaderBytes - 1));
+      write_all(fd, frame.data(), cut);
+      wrote_ok = false;
+      break;
+    }
+    case NetFault::kDribble: {
+      // The whole frame, one byte per write: a correct-but-slow client.
+      // This shape must SUCCEED — it proves partial-read resumption.
+      for (std::size_t i = 0; wrote_ok && i < frame.size(); ++i) {
+        wrote_ok = write_all(fd, frame.data() + i, 1);
+        if (i % 64 == 63) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      break;
+    }
+    case NetFault::kStalledReader: {
+      // Half a frame, then silence with the connection held open: the
+      // slowloris. The server's read deadline must evict us.
+      const std::size_t cut =
+          kFrameHeaderBytes + (frame.size() - kFrameHeaderBytes) / 2;
+      write_all(fd, frame.data(), cut);
+      std::this_thread::sleep_for(fault.stall);
+      break;  // fall through to the read: expect kDeadline (or a close)
+    }
+    case NetFault::kGarbagePreamble: {
+      // Junk where a frame should start: the protocol-confused client.
+      std::string junk(16 + static_cast<std::size_t>(r % 32), '\0');
+      for (std::size_t i = 0; i < junk.size(); ++i) {
+        junk[i] = static_cast<char>(robustness::mix64(r, i) & 0xFF);
+      }
+      // Junk must not start with a valid magic byte sequence.
+      junk[0] = static_cast<char>(~(kFrameMagic & 0xFF));
+      write_all(fd, junk.data(), junk.size());
+      break;  // expect a kMalformedFrame refusal
+    }
+  }
+  Attempt a;
+  if (wrote_ok) {
+    a = read_response(
+        fd, std::chrono::steady_clock::now() + options_.response_deadline,
+        nullptr);
+  }
+  ::close(fd);
+  a.fault_injected = true;
+  return a;
+}
+
 ClientResult Client::submit(const robustness::ReductionTask& task) {
   ClientResult result;
+  const std::size_t connects_before = connects_;
   const std::size_t max_attempts =
       options_.retry.max_attempts == 0 ? 1 : options_.retry.max_attempts;
   for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -252,7 +287,7 @@ ClientResult Client::submit(const robustness::ReductionTask& task) {
       result.ok = true;
       result.diagnostic = robustness::Diagnostic::kOk;
       result.outcome = robustness::FailureKind::kSuccess;
-      return result;
+      break;
     }
 
     result.diagnostic = diagnose_frontend_status(a.status);
@@ -263,7 +298,7 @@ ClientResult Client::submit(const robustness::ReductionTask& task) {
     const bool retryable =
         a.fault_injected ||
         result.outcome == robustness::FailureKind::kTransient;
-    if (!retryable || attempt == max_attempts) return result;
+    if (!retryable || attempt == max_attempts) break;
 
     const auto delay = options_.retry.backoff(attempt);
     result.backoffs.push_back(delay);
@@ -274,6 +309,7 @@ ClientResult Client::submit(const robustness::ReductionTask& task) {
       std::this_thread::sleep_for(delay);
     }
   }
+  result.connects = connects_ - connects_before;
   return result;
 }
 

@@ -32,6 +32,11 @@ std::uint64_t fnv1a(const std::string& s) {
 // probe interval is long, so shutdown and restart deadlines stay prompt.
 constexpr std::chrono::milliseconds kMaxTick{25};
 
+// Idle pooled clients per shard. Each holds one of the shard frontend's
+// connection slots while it idles, so the pool keeps to a quarter of them:
+// probes and callers beyond the pool always find a slot.
+const std::size_t kMaxIdlePerShard = FrontendOptions{}.max_connections / 4;
+
 }  // namespace
 
 ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
@@ -40,6 +45,7 @@ ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
   ::signal(SIGPIPE, SIG_IGN);
   if (options_.shards == 0) options_.shards = 1;
   if (options_.replicas == 0) options_.replicas = 1;
+  served_capacity_ = options_.shards * options_.service.cache_capacity;
 
   // Virtual-node hash ring: `replicas` deterministic points per shard,
   // sorted once. Changing the shard count re-homes only the keys whose ring
@@ -102,6 +108,7 @@ ShardRouter::~ShardRouter() {
   {
     par::MutexLock lock(mu_);
     for (Shard& s : shards_) {
+      s.idle.clear();  // hang up first: the drain then finds nothing idle
       if (s.pid > 0) {
         ::kill(s.pid, SIGTERM);
         live.emplace_back(s.pid, s.spec.unix_path);
@@ -137,6 +144,11 @@ ShardRouter::~ShardRouter() {
 
 void ShardRouter::set_status(Shard& s, ShardStatus status) {
   s.status = status;
+  if (status == ShardStatus::kDead || status == ShardStatus::kUnresponsive) {
+    // The process behind these connections is gone or being killed.
+    s.idle.clear();
+    ++s.pool_generation;
+  }
   obs::bump(shard_status_counter(status));
   ++stats_.shard_status_seen[static_cast<std::size_t>(status)];
   std::size_t down = 0;
@@ -178,6 +190,11 @@ pid_t ShardRouter::shard_pid(std::size_t index) const {
   return shards_[index].pid;
 }
 
+std::size_t ShardRouter::pooled_connections(std::size_t index) const {
+  par::MutexLock lock(mu_);
+  return shards_[index].idle.size();
+}
+
 bool ShardRouter::kill_shard_for_testing(std::size_t index, int sig) {
   par::MutexLock lock(mu_);
   if (index >= shards_.size() || shards_[index].pid <= 0) return false;
@@ -200,7 +217,23 @@ bool ShardRouter::wait_all_serving(std::chrono::milliseconds timeout) {
 
 ShardRouter::Stats ShardRouter::stats() const {
   par::MutexLock lock(mu_);
-  return stats_;
+  Stats out = stats_;
+  out.served_keys = served_keys_.size();
+  return out;
+}
+
+void ShardRouter::remember_served(const std::string& key) {
+  const auto it = served_keys_.find(key);
+  if (it != served_keys_.end()) {
+    served_lru_.splice(served_lru_.begin(), served_lru_, it->second);
+    return;
+  }
+  served_lru_.push_front(key);
+  served_keys_.emplace(served_lru_.front(), served_lru_.begin());
+  if (served_keys_.size() > served_capacity_) {
+    served_keys_.erase(served_lru_.back());
+    served_lru_.pop_back();
+  }
 }
 
 RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
@@ -217,15 +250,17 @@ RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
   {
     par::MutexLock lock(mu_);
     ++stats_.submits;
-    fresh = served_keys_.count(key) == 0;
+    fresh = !served_keys_.contains(key);
   }
 
+  std::uint64_t connects = 0;
   auto finalize = [&](RouteResult& out) -> RouteResult& {
     obs::bump(router_status_counter(out.status));
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     par::MutexLock lock(mu_);
     ++stats_.by_status[static_cast<std::size_t>(out.status)];
     stats_.failover_hops += out.failovers;
+    stats_.connects += connects;
     return out;
   };
 
@@ -263,35 +298,51 @@ RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
   bool have_decoded_refusal = false;
   FrontendResponse last_refusal;
   for (const std::size_t idx : order) {
-    ShardStatus st;
+    std::unique_ptr<Client> client;
+    std::uint64_t generation = 0;
     std::string path;
     {
       par::MutexLock lock(mu_);
-      st = shards_[idx].status;
-      path = shards_[idx].spec.unix_path;
+      Shard& s = shards_[idx];
+      if (s.status != ShardStatus::kServing &&
+          s.status != ShardStatus::kStarting) {
+        ++rr.failovers;  // known-bad: skip, this hop is the failover
+        continue;
+      }
+      generation = s.pool_generation;
+      if (!s.idle.empty()) {
+        client = std::move(s.idle.back());
+        s.idle.pop_back();
+      } else {
+        path = s.spec.unix_path;
+      }
     }
-    if (st != ShardStatus::kServing && st != ShardStatus::kStarting) {
-      ++rr.failovers;  // known-bad: skip, this hop is the failover
-      continue;
+    if (!client) {
+      ClientOptions co;
+      co.unix_path = std::move(path);
+      co.retry.max_attempts = 1;  // the router IS the retry layer
+      co.response_deadline = options_.response_deadline;
+      client = std::make_unique<Client>(std::move(co));
     }
-    ClientOptions co;
-    co.unix_path = path;
-    co.retry.max_attempts = 1;  // the router IS the retry layer
-    co.response_deadline = options_.response_deadline;
-    Client client(co);
-    const ClientResult res = client.submit(task);
+    ClientResult res = client->submit(task);
+    connects += res.connects;
     const bool decoded = res.wire == WireStatus::kOk;
     if (res.ok) {
       rr.shard = idx;
       rr.status = (idx == rr.home && rr.failovers == 0)
                       ? RouterStatus::kRouted
                       : RouterStatus::kFailedOver;
-      rr.response = res.response;
+      rr.response = std::move(res.response);
       {
         par::MutexLock lock(mu_);
-        served_keys_.insert(key);
+        remember_served(key);
         ++stats_.answered;
         if (idx == rr.home) ++stats_.answered_by_home;
+        Shard& s = shards_[idx];
+        if (client->connected() && s.pool_generation == generation &&
+            s.idle.size() < kMaxIdlePerShard) {
+          s.idle.push_back(std::move(client));
+        }
       }
       return finalize(rr);
     }

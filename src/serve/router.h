@@ -27,9 +27,21 @@
 //     way PL018 would have to waiver.
 //   * brownout degradation — with any shard down (or aggregate in-flight
 //     work over the high-water mark) the router sheds FRESH keys as
-//     kOverloaded but keeps routing keys it has served before, which are
-//     exactly the ones a surviving shard can answer from cache. Partial
-//     failure degrades capacity, not availability of what is already warm.
+//     kOverloaded but keeps routing keys it has served recently, which are
+//     the ones a surviving shard can answer from cache. "Recently" is an LRU
+//     as large as the fleet's caches together (shards x cache_capacity), so
+//     the set stays bounded and does not promise keys every cache evicted.
+//     Partial failure degrades capacity, not availability of what is warm.
+//
+// Connections: the router keeps a small pool of idle Clients per shard, so
+// a caller pays one Unix-socket connect per shard, not one per answer. A
+// client goes back to its shard's pool only after an accepted answer (the
+// client itself hangs up after anything else). When the reaper marks a
+// shard kDead or the prober marks it kUnresponsive, that shard's pool is
+// dropped; a client checked out before the drop is not taken back. A stale
+// pooled connection costs one immediate reconnect inside Client::submit,
+// never a failover hop. Health probes keep a connection per probe: they
+// also prove the listener still accepts.
 //
 // RouterStatus classifies every submit outcome, one row per ending like
 // FrontendStatus: routed, failed-over, shed, or refused with every shard
@@ -41,9 +53,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/counters.h"
@@ -177,6 +192,9 @@ class ShardRouter {
   std::size_t shard_count() const { return shards_.size(); }
   ShardStatus shard_status(std::size_t index) const;
   pid_t shard_pid(std::size_t index) const;
+  // Idle pooled connections to a shard (at most a quarter of its frontend's
+  // connection slots; 0 once the shard was marked dead or unresponsive).
+  std::size_t pooled_connections(std::size_t index) const;
 
   // Test/soak seam: deliver `sig` to a shard process (SIGKILL, SIGSEGV,
   // SIGSTOP...) — the supervision loop must classify and heal the result.
@@ -197,6 +215,11 @@ class ShardRouter {
     // Cache-locality numerator/denominator: answered-by-home vs answered.
     std::uint64_t answered = 0;
     std::uint64_t answered_by_home = 0;
+    // Connections opened to shards for submits (probes excluded): with the
+    // per-shard pools this grows with callers x shards, not with answers.
+    std::uint64_t connects = 0;
+    // Keys in the brownout set now (bounded by shards x cache_capacity).
+    std::uint64_t served_keys = 0;
     std::uint64_t status(RouterStatus s) const {
       return by_status[static_cast<std::size_t>(s)];
     }
@@ -212,6 +235,9 @@ class ShardRouter {
     std::size_t restart_attempt = 0;   // consecutive deaths (backoff input)
     std::chrono::steady_clock::time_point restart_not_before{};
     std::chrono::steady_clock::time_point started_at{};
+    // Idle clients connected to this shard's current process.
+    std::vector<std::unique_ptr<Client>> idle;
+    std::uint64_t pool_generation = 0;  // bumped whenever `idle` is dropped
   };
 
   void supervise();
@@ -219,6 +245,7 @@ class ShardRouter {
   void reap_and_heal(std::chrono::steady_clock::time_point now);
   void probe_round(std::chrono::steady_clock::time_point now);
   std::size_t ring_successor(std::uint64_t hash) const;
+  void remember_served(const std::string& key) PFACT_REQUIRES(mu_);
 
   RouterOptions options_;
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;  // sorted points
@@ -226,7 +253,12 @@ class ShardRouter {
   mutable par::Mutex mu_;
   std::vector<Shard> shards_ PFACT_GUARDED_BY(mu_);
   Stats stats_ PFACT_GUARDED_BY(mu_);
-  std::unordered_set<std::string> served_keys_ PFACT_GUARDED_BY(mu_);
+  // The brownout set: recently answered keys, most recent first, at most
+  // served_capacity_ of them. The index views the list's own strings.
+  std::size_t served_capacity_ = 0;
+  std::list<std::string> served_lru_ PFACT_GUARDED_BY(mu_);
+  std::unordered_map<std::string_view, std::list<std::string>::iterator>
+      served_keys_ PFACT_GUARDED_BY(mu_);
   bool stopping_ PFACT_GUARDED_BY(mu_) = false;
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> not_serving_{0};  // shards currently != kServing

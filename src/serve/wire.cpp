@@ -313,9 +313,12 @@ WireStatus read_exact(int fd, char* dst, std::size_t n,
 }  // namespace
 
 WireStatus read_frame(int fd, FrameType& type, std::string& payload,
-                      std::chrono::steady_clock::time_point deadline) {
+                      std::chrono::steady_clock::time_point deadline,
+                      bool* any_byte) {
   char header[kFrameHeaderBytes];
-  bool any_read = false;
+  bool local_any = false;
+  bool& any_read = any_byte != nullptr ? *any_byte : local_any;
+  any_read = false;
   WireStatus st = read_exact(fd, header, sizeof(header), deadline, &any_read);
   if (st != WireStatus::kOk) return st;
   ByteReader r(std::string_view(header, sizeof(header)));

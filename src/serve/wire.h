@@ -141,9 +141,12 @@ WireStatus write_frame(int fd, FrameType type, std::string_view payload);
 
 // Reads one complete frame, polling against `deadline` (zero-duration
 // deadline = block indefinitely). Returns kEof only on a clean boundary;
-// a stream that dies mid-frame is kTruncated.
+// a stream that dies mid-frame is kTruncated. `any_byte`, when given, tells
+// whether any byte of the frame arrived — how a client tells a kept
+// connection that died while idle from a peer that died mid-answer.
 WireStatus read_frame(int fd, FrameType& type, std::string& payload,
                       std::chrono::steady_clock::time_point deadline =
-                          std::chrono::steady_clock::time_point{});
+                          std::chrono::steady_clock::time_point{},
+                      bool* any_byte = nullptr);
 
 }  // namespace pfact::serve

@@ -4,11 +4,13 @@
 // classified FrontendStatus, never a crash, hang, or wrong answer.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -123,11 +125,17 @@ struct Rig {
     so.cache_capacity = 64;
     so.pool.workers = 2;
     service = std::make_unique<ReductionService>(so);
-    FrontendOptions fo;
     fo.unix_path = unique_socket_path();
     fo.max_connections = max_connections;
     fo.read_deadline = read_deadline;
     fo.write_deadline = std::chrono::milliseconds(2000);
+    frontend = std::make_unique<Frontend>(*service, fo);
+  }
+
+  // Drains and destroys the frontend, then binds a new one on the same
+  // path: every connection a client kept is now stale.
+  void restart_frontend() {
+    frontend.reset();
     frontend = std::make_unique<Frontend>(*service, fo);
   }
 
@@ -139,6 +147,7 @@ struct Rig {
     return co;
   }
 
+  FrontendOptions fo;
   std::unique_ptr<ReductionService> service;
   std::unique_ptr<Frontend> frontend;
 };
@@ -567,6 +576,201 @@ TEST(FrontendClient, BackoffMirrorsRetryPolicyBitForBit) {
     EXPECT_EQ(slept[i], co.retry.backoff(i + 1)) << i;  // bit-reproducible
   }
   EXPECT_EQ(r.backoffs, slept);
+}
+
+// --- connection reuse -------------------------------------------------------
+
+TEST(FrontendClient, KeepsOneConnectionAcrossAcceptedSubmits) {
+  Rig rig;
+  Client client(rig.client_options());
+  for (int i = 0; i < 8; ++i) {
+    const ClientResult r = client.submit(gem_xor_task());
+    ASSERT_TRUE(r.ok) << i << ": " << frontend_status_name(r.status);
+    EXPECT_EQ(r.response.value, gem_xor_task().expected());
+    EXPECT_EQ(r.attempts, 1u);
+    EXPECT_EQ(r.connects, i == 0 ? 1u : 0u) << i;
+  }
+  EXPECT_TRUE(client.connected());
+  const Frontend::Stats st = rig.frontend->stats();
+  EXPECT_EQ(st.conns_accepted, 1u);
+  EXPECT_EQ(st.status(FrontendStatus::kAccepted), 8u);
+  EXPECT_EQ(st.clean_closes, 0u);
+}
+
+TEST(FrontendClient, RefusalClosesTheConnectionAndTheNextSubmitReconnects) {
+  Rig rig(/*max_connections=*/1);
+  const int holder = raw_connect(rig.frontend->unix_path());
+  ASSERT_GE(holder, 0);
+  ASSERT_TRUE(wait_until([&] {
+    return rig.frontend->stats().conns_accepted >= 1;
+  }));
+
+  ClientOptions co = rig.client_options();
+  co.retry.max_attempts = 1;
+  Client client(co);
+  const ClientResult shed = client.submit(gem_xor_task());
+  EXPECT_FALSE(shed.ok);
+  EXPECT_EQ(shed.status, FrontendStatus::kOverloaded);
+  EXPECT_EQ(shed.connects, 1u);
+  EXPECT_FALSE(client.connected()) << "a refusal must end the connection";
+  // Had the client kept the refused connection, the frontend would linger
+  // on it for its write deadline and shed the next submit all over again.
+  ::close(holder);
+  ASSERT_TRUE(wait_until([&] {
+    return rig.frontend->stats().clean_closes >= 1;
+  }));
+
+  const ClientResult first = client.submit(gem_xor_task());
+  ASSERT_TRUE(first.ok) << frontend_status_name(first.status);
+  EXPECT_EQ(first.connects, 1u);  // reconnected after the refusal
+  const ClientResult second = client.submit(gem_xor_task());
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(second.connects, 0u);  // ...and kept that connection
+  // The holder, the refused connection and the one kept connection.
+  EXPECT_EQ(rig.frontend->stats().conns_accepted, 3u);
+}
+
+TEST(FrontendClient, StaleConnectionReconnectsOnceWithoutARetry) {
+  Rig rig;
+  ClientOptions co = rig.client_options();
+  std::vector<std::chrono::milliseconds> slept;
+  co.sleeper = [&](std::chrono::milliseconds d) { slept.push_back(d); };
+  Client client(co);
+  ASSERT_TRUE(client.submit(gem_xor_task()).ok);
+  ASSERT_TRUE(client.connected());
+
+  rig.restart_frontend();  // the kept connection now leads nowhere
+  ASSERT_TRUE(rig.frontend->running());
+  obs::ScopedCounters sc;
+  const ClientResult r = client.submit(gem_xor_task());
+  ASSERT_TRUE(r.ok) << frontend_status_name(r.status) << " "
+                    << wire_status_name(r.wire);
+  EXPECT_EQ(r.response.value, gem_xor_task().expected());
+  EXPECT_EQ(r.attempts, 1u);  // the reconnect is not an attempt...
+  EXPECT_TRUE(r.backoffs.empty());
+  EXPECT_TRUE(slept.empty());  // ...sleeps no backoff...
+  if (PFACT_OBS_ENABLED != 0) {
+    EXPECT_EQ(sc.delta()[obs::Counter::kClientRetries], 0u);  // ...nor retry
+  }
+  EXPECT_EQ(r.connects, 1u);
+
+  // The new connection is kept like any other.
+  ASSERT_TRUE(client.submit(gem_xor_task()).ok);
+  const Frontend::Stats st = rig.frontend->stats();
+  EXPECT_EQ(st.conns_accepted, 1u);
+  EXPECT_EQ(st.status(FrontendStatus::kAccepted), 2u);
+  EXPECT_EQ(st.status(FrontendStatus::kConnReset), 0u);
+}
+
+// A hand-rolled server on a raw Unix socket: it answers the first request
+// it reads with a certified kAccepted response and reads every later
+// request without ever answering it — a server that wedges behind a
+// connection its client kept.
+class AnswerOnceServer {
+ public:
+  explicit AnswerOnceServer(bool value) : path_(unique_socket_path()) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 8) != 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      return;
+    }
+    FrontendResponse resp;
+    resp.status = FrontendStatus::kAccepted;
+    resp.certified = true;
+    resp.value = value;
+    answer_ = raw_frame(static_cast<std::uint8_t>(FrameType::kResponse),
+                        encode_response(resp));
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~AnswerOnceServer() {
+    stop_ = true;
+    if (thread_.joinable()) thread_.join();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+
+  const std::string& path() const { return path_; }
+  bool listening() const { return listen_fd_ >= 0; }
+  int accepts() const { return accepts_.load(); }
+  int requests() const { return requests_.load(); }
+
+ private:
+  void serve() {
+    std::vector<int> conns;
+    while (!stop_) {
+      std::vector<pollfd> fds{{listen_fd_, POLLIN, 0}};
+      for (const int fd : conns) fds.push_back({fd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), 10) <= 0) continue;
+      if ((fds[0].revents & POLLIN) != 0) {
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+        if (fd >= 0) {
+          conns.push_back(fd);
+          ++accepts_;
+        }
+      }
+      for (std::size_t i = 1; i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        FrameType type = FrameType::kRequest;
+        std::string payload;
+        const WireStatus st =
+            read_frame(fds[i].fd, type, payload,
+                       std::chrono::steady_clock::now() +
+                           std::chrono::seconds(1));
+        if (st == WireStatus::kOk) {
+          if (++requests_ == 1) {
+            write_all(fds[i].fd, answer_.data(), answer_.size());
+          }
+          continue;
+        }
+        ::close(fds[i].fd);
+        conns.erase(std::find(conns.begin(), conns.end(), fds[i].fd));
+      }
+    }
+    for (const int fd : conns) ::close(fd);
+  }
+
+  std::string path_;
+  std::string answer_;
+  int listen_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> accepts_{0};
+  std::atomic<int> requests_{0};
+  std::thread thread_;
+};
+
+TEST(FrontendClient, StalledServerOnAKeptConnectionCostsOneDeadline) {
+  const ReductionTask task = gem_xor_task();
+  AnswerOnceServer server(task.expected());
+  ASSERT_TRUE(server.listening());
+  ClientOptions co;
+  co.unix_path = server.path();
+  co.retry.max_attempts = 1;  // as the shard router configures it
+  co.response_deadline = std::chrono::milliseconds(300);
+  Client client(co);
+  const ClientResult first = client.submit(task);
+  ASSERT_TRUE(first.ok) << frontend_status_name(first.status);
+  ASSERT_TRUE(client.connected());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const ClientResult stalled = client.submit(task);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_FALSE(stalled.ok);
+  EXPECT_EQ(stalled.status, FrontendStatus::kDeadline);
+  EXPECT_EQ(stalled.wire, WireStatus::kTimeout);
+  EXPECT_EQ(stalled.diagnostic, Diagnostic::kDeadlineExceeded);
+  EXPECT_EQ(stalled.attempts, 1u);
+  EXPECT_EQ(stalled.connects, 0u) << "a deadline must never be resent";
+  EXPECT_GE(waited, co.response_deadline);
+  EXPECT_LT(waited, 2 * co.response_deadline);
+  EXPECT_FALSE(client.connected()) << "a deadline must end the connection";
+  EXPECT_TRUE(wait_until([&] { return server.requests() == 2; }));
+  EXPECT_EQ(server.accepts(), 1);
 }
 
 }  // namespace

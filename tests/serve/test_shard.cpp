@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/builders.h"
@@ -359,6 +361,109 @@ TEST(ShardRouterTest, BrownoutShedsFreshWorkButServesWarmKeys) {
   EXPECT_TRUE(after.status == RouterStatus::kRouted ||
               after.status == RouterStatus::kFailedOver);
   EXPECT_EQ(after.response.value, parity_task(5, 21).expected());
+}
+
+// A caller's answers ride one pooled connection per shard. When the home
+// shard dies behind that connection, the next submit must fail over —
+// classified, and well inside the response deadline, never hanging on the
+// dead socket. After the heal the home shard answers again through a fresh
+// connection, and a dead shard's pool is dropped by the reaper alone.
+TEST(ShardRouterTest, KilledShardBehindAPooledConnectionFailsOverThenHeals) {
+  RouterOptions ro = small_router(2);
+  ro.response_deadline = std::chrono::seconds(5);
+  ShardRouter router(ro);
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
+
+  const ReductionTask task = gem_xor_task(false, true);
+  const std::size_t home = router.home_shard(task);
+  ASSERT_EQ(router.submit(task).status, RouterStatus::kRouted);
+  ASSERT_EQ(router.submit(task).status, RouterStatus::kRouted);
+  EXPECT_EQ(router.stats().connects, 1u) << "two answers, one connection";
+  EXPECT_EQ(router.pooled_connections(home), 1u);
+
+  // Kill the home shard and wait for the process to be gone. WNOWAIT
+  // leaves the reaping (and so the pool drop) to the router; ECHILD means
+  // the router already reaped it.
+  const pid_t pid = router.shard_pid(home);
+  ASSERT_GT(pid, 0);
+  ASSERT_TRUE(router.kill_shard_for_testing(home, SIGKILL));
+  siginfo_t info{};
+  ::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const RouteResult over = router.submit(task);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(over.status, RouterStatus::kFailedOver)
+      << router_status_name(over.status);
+  EXPECT_NE(over.shard, home);
+  EXPECT_TRUE(over.response.certified);
+  EXPECT_EQ(over.response.value, task.expected());
+  EXPECT_LT(took, ro.response_deadline / 5);
+  EXPECT_EQ(router.pooled_connections(home), 0u);
+
+  // Heal: a new process on the home slot, probed healthy.
+  const auto respawn_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((router.shard_pid(home) == pid || router.shard_pid(home) <= 0) &&
+         std::chrono::steady_clock::now() < respawn_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(router.shard_pid(home), pid);
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(20)));
+  const RouteResult back = router.submit(task);
+  EXPECT_EQ(back.status, RouterStatus::kRouted)
+      << router_status_name(back.status);
+  EXPECT_EQ(back.shard, home);
+  EXPECT_EQ(back.response.value, task.expected());
+  EXPECT_EQ(router.pooled_connections(home), 1u);
+
+  // No submit this time: the reaper alone must drop the dead shard's pool.
+  ASSERT_TRUE(router.kill_shard_for_testing(home, SIGKILL));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (router.pooled_connections(home) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(router.pooled_connections(home), 0u);
+}
+
+// The brownout set is an LRU as large as the fleet's caches together
+// (shards x cache_capacity): it stays bounded however many fresh keys
+// stream through, and a key that fell out of it counts as fresh again.
+TEST(ShardRouterTest, ServedKeySetIsBoundedByTheFleetCacheCapacity) {
+  RouterOptions ro = small_router(2);
+  ro.service.cache_capacity = 2;
+  // A slow restart keeps the brownout window open while the test probes it.
+  ro.restart.base_delay = std::chrono::seconds(2);
+  ro.restart.max_delay = std::chrono::seconds(2);
+  ShardRouter router(ro);
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
+
+  std::vector<ReductionTask> keys;
+  for (unsigned m = 0; m < 6; ++m) keys.push_back(parity_task(3, m));
+  for (const ReductionTask& k : keys) {
+    ASSERT_EQ(router.submit(k).status, RouterStatus::kRouted);
+  }
+  EXPECT_EQ(router.stats().served_keys, 4u);
+
+  ASSERT_TRUE(router.kill_shard_for_testing(0, SIGKILL));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!router.browned_out() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(router.browned_out());
+  const RouteResult oldest = router.submit(keys.front());
+  EXPECT_EQ(oldest.status, RouterStatus::kBrownoutShed)
+      << "a key evicted from the set must count as fresh";
+  const RouteResult newest = router.submit(keys.back());
+  EXPECT_TRUE(newest.status == RouterStatus::kRouted ||
+              newest.status == RouterStatus::kFailedOver)
+      << router_status_name(newest.status);
+  EXPECT_EQ(newest.response.value, keys.back().expected());
+  EXPECT_EQ(router.stats().served_keys, 4u);
 }
 
 TEST(ShardRouterTest, WedgedShardIsEvictedNotWaitedOn) {
