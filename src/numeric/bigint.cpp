@@ -1,10 +1,12 @@
 #include "numeric/bigint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/counters.h"
 
@@ -12,19 +14,87 @@ namespace pfact::numeric {
 
 namespace {
 constexpr std::uint64_t kBase = 1ull << 32;
+
+// Stein's binary gcd on machine words, a whole run of zero bits per shift.
+std::uint64_t gcd_word(std::uint64_t a, std::uint64_t b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  const int shift = std::countr_zero(a | b);
+  a >>= std::countr_zero(a);
+  do {
+    b >>= std::countr_zero(b);
+    if (a > b) std::swap(a, b);
+    b -= a;
+  } while (b != 0);
+  return a << shift;
+}
+
+// The limb kernels below work in place on raw little-endian limb spans.
+
+// Number of trailing zero bits of a nonzero magnitude.
+std::size_t count_trailing_zeros(const std::uint32_t* m) {
+  std::size_t i = 0;
+  while (m[i] == 0) ++i;
+  return i * 32 + static_cast<std::size_t>(std::countr_zero(m[i]));
+}
+
+// m[0..n) >>= bits, with bits < 32 * n; the top limbs it empties become 0.
+void shift_right(std::uint32_t* m, std::size_t n, std::size_t bits) {
+  const std::size_t limbs = bits / 32;
+  const unsigned rem = bits % 32;
+  for (std::size_t i = 0; i + limbs < n; ++i) {
+    std::uint64_t v = m[i + limbs] >> rem;
+    if (rem != 0 && i + limbs + 1 < n) {
+      v |= static_cast<std::uint64_t>(m[i + limbs + 1]) << (32 - rem);
+    }
+    m[i] = static_cast<std::uint32_t>(v);
+  }
+  std::fill(m + (n - limbs), m + n, 0u);
+}
+
+// r[0..n] (n + 1 limbs) >= b[0..n)?
+bool at_least(const std::uint32_t* r, const std::uint32_t* b, std::size_t n) {
+  if (r[n] != 0) return true;
+  for (std::size_t i = n; i-- > 0;) {
+    if (r[i] != b[i]) return r[i] > b[i];
+  }
+  return true;
+}
+
+// a[0..n) -= b[0..bn), bn <= n, requires a >= b.
+void subtract(std::uint32_t* a, std::size_t n, const std::uint32_t* b,
+              std::size_t bn) {
+  std::uint32_t borrow = 0;
+  for (std::size_t i = 0; i < n && (i < bn || borrow != 0); ++i) {
+    const std::uint64_t d = static_cast<std::uint64_t>(a[i]) -
+                            (i < bn ? b[i] : 0) - borrow;
+    a[i] = static_cast<std::uint32_t>(d);
+    borrow = static_cast<std::uint32_t>(d >> 63);
+  }
+}
+}  // namespace
+
+void BigInt::Limbs::reserve(std::size_t n) {
+  if (n <= cap_) return;
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("BigInt: magnitude too long");
+  }
+  const std::size_t cap =
+      std::min<std::size_t>(std::max<std::size_t>(n, 2 * std::size_t{cap_}),
+                            std::numeric_limits<std::uint32_t>::max());
+  auto* heap = new std::uint32_t[cap];
+  std::copy_n(data(), size_, heap);
+  if (on_heap()) delete[] u_.heap;
+  u_.heap = heap;
+  cap_ = static_cast<std::uint32_t>(cap);
 }
 
 BigInt::BigInt(long long v) {
   if (v == 0) return;
   sign_ = v > 0 ? 1 : -1;
   // Avoid UB on LLONG_MIN by working in unsigned space.
-  std::uint64_t u =
-      v > 0 ? static_cast<std::uint64_t>(v)
-            : ~static_cast<std::uint64_t>(v) + 1;
-  while (u != 0) {
-    mag_.push_back(static_cast<std::uint32_t>(u & 0xffffffffu));
-    u >>= 32;
-  }
+  mag_.set_word(v > 0 ? static_cast<std::uint64_t>(v)
+                      : ~static_cast<std::uint64_t>(v) + 1);
 }
 
 namespace {
@@ -35,10 +105,10 @@ std::size_t BigInt::bit_limit() { return g_bit_limit; }
 void BigInt::set_bit_limit(std::size_t bits) { g_bit_limit = bits; }
 
 void BigInt::trim() {
-  while (!mag_.empty() && mag_.back() == 0) mag_.pop_back();
+  mag_.trim_zeros();
   if (mag_.empty()) sign_ = 0;
-  // trim() normalizes every freshly produced magnitude, so it is the one
-  // place that sees each allocation exactly once.
+  // trim() normalizes every result magnitude an operation produces, so it
+  // is the one place that sees each of them exactly once.
   if (!mag_.empty()) {
     PFACT_COUNT(kBigIntAllocs);
     PFACT_COUNT_N(kBigIntLimbsAllocated, mag_.size());
@@ -54,8 +124,7 @@ void BigInt::trim() {
   }
 }
 
-int BigInt::compare_mag(const std::vector<std::uint32_t>& a,
-                        const std::vector<std::uint32_t>& b) {
+int BigInt::compare_mag(const Limbs& a, const Limbs& b) {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (std::size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -63,12 +132,11 @@ int BigInt::compare_mag(const std::vector<std::uint32_t>& a,
   return 0;
 }
 
-std::vector<std::uint32_t> BigInt::add_mag(
-    const std::vector<std::uint32_t>& a,
-    const std::vector<std::uint32_t>& b) {
+BigInt::Limbs BigInt::add_mag(const Limbs& a, const Limbs& b) {
   const auto& big = a.size() >= b.size() ? a : b;
   const auto& small = a.size() >= b.size() ? b : a;
-  std::vector<std::uint32_t> out(big.size() + 1, 0);
+  Limbs out;
+  out.assign_zero(big.size() + 1);
   std::uint64_t carry = 0;
   for (std::size_t i = 0; i < big.size(); ++i) {
     std::uint64_t s = carry + big[i] + (i < small.size() ? small[i] : 0);
@@ -76,14 +144,13 @@ std::vector<std::uint32_t> BigInt::add_mag(
     carry = s >> 32;
   }
   out[big.size()] = static_cast<std::uint32_t>(carry);
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  out.trim_zeros();
   return out;
 }
 
-std::vector<std::uint32_t> BigInt::sub_mag(
-    const std::vector<std::uint32_t>& a,
-    const std::vector<std::uint32_t>& b) {
-  std::vector<std::uint32_t> out(a.size(), 0);
+BigInt::Limbs BigInt::sub_mag(const Limbs& a, const Limbs& b) {
+  Limbs out;
+  out.assign_zero(a.size());
   std::int64_t borrow = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     std::int64_t d = static_cast<std::int64_t>(a[i]) - borrow -
@@ -96,15 +163,14 @@ std::vector<std::uint32_t> BigInt::sub_mag(
     }
     out[i] = static_cast<std::uint32_t>(d);
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  out.trim_zeros();
   return out;
 }
 
-std::vector<std::uint32_t> BigInt::mul_mag(
-    const std::vector<std::uint32_t>& a,
-    const std::vector<std::uint32_t>& b) {
+BigInt::Limbs BigInt::mul_mag(const Limbs& a, const Limbs& b) {
   if (a.empty() || b.empty()) return {};
-  std::vector<std::uint32_t> out(a.size() + b.size(), 0);
+  Limbs out;
+  out.assign_zero(a.size() + b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     std::uint64_t carry = 0;
     for (std::size_t j = 0; j < b.size(); ++j) {
@@ -121,7 +187,7 @@ std::vector<std::uint32_t> BigInt::mul_mag(
       ++k;
     }
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
+  out.trim_zeros();
   return out;
 }
 
@@ -192,7 +258,7 @@ BigInt BigInt::operator<<(std::size_t bits) const {
   std::size_t rem = bits % 32;
   BigInt out;
   out.sign_ = sign_;
-  out.mag_.assign(mag_.size() + limbs + 1, 0);
+  out.mag_.assign_zero(mag_.size() + limbs + 1);
   for (std::size_t i = 0; i < mag_.size(); ++i) {
     std::uint64_t v = static_cast<std::uint64_t>(mag_[i]) << rem;
     out.mag_[i + limbs] |= static_cast<std::uint32_t>(v & 0xffffffffu);
@@ -209,7 +275,7 @@ BigInt BigInt::operator>>(std::size_t bits) const {
   if (limbs >= mag_.size()) return BigInt{};
   BigInt out;
   out.sign_ = sign_;
-  out.mag_.assign(mag_.size() - limbs, 0);
+  out.mag_.assign_zero(mag_.size() - limbs);
   for (std::size_t i = 0; i < out.mag_.size(); ++i) {
     std::uint64_t v = mag_[i + limbs] >> rem;
     if (rem != 0 && i + limbs + 1 < mag_.size()) {
@@ -240,39 +306,60 @@ void BigInt::divmod(const BigInt& a, const BigInt& b, BigInt& quot,
   if (b.sign_ == 0) throw std::domain_error("BigInt: division by zero");
   PFACT_COUNT(kBigIntDivs);
   if (compare_mag(a.mag_, b.mag_) < 0) {
+    rem = a;  // before quot: quot may alias a
     quot = BigInt{};
-    rem = a;
     return;
   }
-  // Binary long division on magnitudes. O(n * bits) limb work: adequate for
-  // the entry sizes arising in exact elimination of gadget matrices.
-  BigInt r;
+  // Build both results in locals: quot or rem may alias a or b.
   BigInt q;
-  std::size_t n = a.bit_length();
-  q.mag_.assign((n + 31) / 32, 0);
-  for (std::size_t i = n; i-- > 0;) {
-    r = r << 1;
-    if (a.bit(i)) {
-      if (r.mag_.empty()) {
-        r.mag_.push_back(1);
-        r.sign_ = 1;
-      } else {
-        r.mag_[0] |= 1u;
+  BigInt r;
+  const Limbs& am = a.mag_;
+  const Limbs& bm = b.mag_;
+  if (am.size() <= 2) {
+    // |b| <= |a| < 2^64: native division.
+    const std::uint64_t x = am.word();
+    const std::uint64_t y = bm.word();
+    q.mag_.set_word(x / y);
+    r.mag_.set_word(x % y);
+  } else if (bm.size() == 1) {
+    // One-limb divisor: one short-division pass, top limb down.
+    const std::uint64_t d = bm[0];
+    std::uint64_t carry = 0;
+    q.mag_.assign_zero(am.size());
+    for (std::size_t i = am.size(); i-- > 0;) {
+      const std::uint64_t cur = (carry << 32) | am[i];
+      q.mag_[i] = static_cast<std::uint32_t>(cur / d);
+      carry = cur % d;
+    }
+    r.mag_.set_word(carry);
+  } else {
+    // Multi-limb divisor: binary long division, one quotient bit per
+    // dividend bit, in place. The running remainder stays below 2|b|, so
+    // n + 1 limbs hold it.
+    const std::size_t n = bm.size();
+    q.mag_.assign_zero(am.size());
+    r.mag_.assign_zero(n + 1);
+    std::uint32_t* rm = r.mag_.data();
+    for (std::size_t i = a.bit_length(); i-- > 0;) {
+      std::uint32_t carry = (am[i / 32] >> (i % 32)) & 1u;
+      for (std::size_t j = 0; j <= n; ++j) {
+        const std::uint32_t next = rm[j] >> 31;
+        rm[j] = (rm[j] << 1) | carry;
+        carry = next;
+      }
+      if (at_least(rm, bm.data(), n)) {
+        subtract(rm, n + 1, bm.data(), n);
+        q.mag_[i / 32] |= 1u << (i % 32);
       }
     }
-    if (r.sign_ != 0 && compare_mag(r.mag_, b.mag_) >= 0) {
-      r.mag_ = sub_mag(r.mag_, b.mag_);
-      r.trim();
-      q.mag_[i / 32] |= (1u << (i % 32));
-    }
   }
-  q.sign_ = 1;
+  // Truncated division: the remainder takes the dividend's sign.
+  q.sign_ = a.sign_ * b.sign_;
+  r.sign_ = a.sign_;
   q.trim();
-  quot = q;
-  rem = r;
-  // Fix signs: truncated division, remainder takes dividend's sign.
-  quot.sign_ = quot.mag_.empty() ? 0 : a.sign_ * b.sign_;
-  rem.sign_ = rem.mag_.empty() ? 0 : a.sign_;
+  r.trim();
+  quot = std::move(q);
+  rem = std::move(r);
 }
 
 BigInt operator/(const BigInt& a, const BigInt& b) {
@@ -292,20 +379,47 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
   b.sign_ = b.mag_.empty() ? 0 : 1;
   if (a.is_zero()) return b;
   if (b.is_zero()) return a;
-  // Binary GCD: only shifts and subtractions.
-  std::size_t shift = 0;
-  while (!a.is_odd() && !b.is_odd()) {
-    a = a >> 1;
-    b = b >> 1;
-    ++shift;
+  // One Euclid step brings a word-sized operand's partner down to a word.
+  if (a.mag_.size() > 2 && b.mag_.size() <= 2) std::swap(a, b);
+  if (a.mag_.size() <= 2 && b.mag_.size() > 2) {
+    b = b % a;
+    if (b.is_zero()) return a;
   }
-  while (!a.is_odd()) a = a >> 1;
-  while (!b.is_zero()) {
-    while (!b.is_odd()) b = b >> 1;
-    if (a > b) std::swap(a, b);
-    b = b - a;
+  BigInt out;
+  out.sign_ = 1;
+  if (a.mag_.size() <= 2) {  // and so is b
+    out.mag_.set_word(gcd_word(a.mag_.word(), b.mag_.word()));
+    out.trim();
+    return out;
   }
-  return a << shift;
+  Limbs& x = a.mag_;
+  Limbs& y = b.mag_;
+  // Both wider than a word: binary gcd in place. Strip each run of zero
+  // bits with one shift, subtract, repeat until both fit in a word.
+  const std::size_t zx = count_trailing_zeros(x.data());
+  const std::size_t zy = count_trailing_zeros(y.data());
+  const std::size_t shift = std::min(zx, zy);
+  shift_right(x.data(), x.size(), zx);
+  shift_right(y.data(), y.size(), zy);
+  x.trim_zeros();
+  y.trim_zeros();
+  while (x.size() > 2 || y.size() > 2) {
+    // Both odd here.
+    const int c = compare_mag(x, y);
+    if (c == 0) break;
+    if (c > 0) std::swap(x, y);
+    subtract(y.data(), y.size(), x.data(), x.size());
+    y.trim_zeros();
+    shift_right(y.data(), y.size(), count_trailing_zeros(y.data()));
+    y.trim_zeros();
+  }
+  if (x.size() <= 2 && y.size() <= 2) x.set_word(gcd_word(x.word(), y.word()));
+  out.mag_ = std::move(x);
+  if (shift == 0) {
+    out.trim();
+    return out;
+  }
+  return out << shift;
 }
 
 BigInt BigInt::pow(const BigInt& base, unsigned exp) {
@@ -340,7 +454,7 @@ BigInt BigInt::from_string(std::string_view s) {
 
 std::string BigInt::to_string() const {
   if (sign_ == 0) return "0";
-  std::vector<std::uint32_t> m = mag_;
+  Limbs m = mag_;
   std::string digits;
   while (!m.empty()) {
     // Divide the magnitude by 10^9, collecting the remainder.
@@ -350,7 +464,7 @@ std::string BigInt::to_string() const {
       m[i] = static_cast<std::uint32_t>(cur / 1000000000ull);
       rem = cur % 1000000000ull;
     }
-    while (!m.empty() && m.back() == 0) m.pop_back();
+    m.trim_zeros();
     for (int d = 0; d < 9; ++d) {
       digits.push_back(static_cast<char>('0' + rem % 10));
       rem /= 10;

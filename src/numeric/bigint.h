@@ -8,11 +8,15 @@
 //
 // Representation: sign-magnitude with little-endian base-2^32 limbs.
 // The magnitude never has trailing zero limbs; zero has sign 0 and no limbs.
+// Up to four limbs live inline in the object (see Limbs below), so the
+// word-sized values exact elimination mostly produces never touch the heap.
 
+#include <algorithm>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pfact::numeric {
 
@@ -101,23 +105,109 @@ class BigInt {
   std::int64_t to_int64() const;  // Throws std::overflow_error if too large.
 
  private:
-  static int compare_mag(const std::vector<std::uint32_t>& a,
-                         const std::vector<std::uint32_t>& b);
-  static std::vector<std::uint32_t> add_mag(
-      const std::vector<std::uint32_t>& a,
-      const std::vector<std::uint32_t>& b);
+  // Small-buffer limb array: up to kInline limbs inline, heap beyond. A new
+  // copy of a short magnitude lands inline even when its source was on the
+  // heap.
+  class Limbs {
+   public:
+    static constexpr std::size_t kInline = 4;
+
+    Limbs() = default;
+    Limbs(const Limbs& o) { copy_from(o); }
+    Limbs(Limbs&& o) noexcept { steal(o); }
+    Limbs& operator=(const Limbs& o) {
+      if (this != &o) copy_from(o);
+      return *this;
+    }
+    Limbs& operator=(Limbs&& o) noexcept {
+      if (this != &o) {
+        release();
+        steal(o);
+      }
+      return *this;
+    }
+    ~Limbs() { release(); }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    std::uint32_t* data() { return on_heap() ? u_.heap : u_.inl; }
+    const std::uint32_t* data() const { return on_heap() ? u_.heap : u_.inl; }
+    std::uint32_t& operator[](std::size_t i) { return data()[i]; }
+    std::uint32_t operator[](std::size_t i) const { return data()[i]; }
+    std::uint32_t back() const { return data()[size_ - 1]; }
+    // Resizes to n limbs, all zero.
+    void assign_zero(std::size_t n) {
+      reserve(n);
+      std::fill_n(data(), n, 0u);
+      size_ = static_cast<std::uint32_t>(n);
+    }
+    void trim_zeros() {
+      while (size_ != 0 && data()[size_ - 1] == 0) --size_;
+    }
+
+    // The magnitude as one machine word; requires size() <= 2.
+    std::uint64_t word() const {
+      const std::uint32_t* d = data();
+      return size_ == 0   ? 0
+             : size_ == 1 ? d[0]
+                          : (static_cast<std::uint64_t>(d[1]) << 32) | d[0];
+    }
+    void set_word(std::uint64_t v) {
+      std::uint32_t* d = data();  // capacity is always >= 2
+      size_ = 0;
+      if (v != 0) d[size_++] = static_cast<std::uint32_t>(v);
+      if ((v >> 32) != 0) d[size_++] = static_cast<std::uint32_t>(v >> 32);
+    }
+
+    friend bool operator==(const Limbs& a, const Limbs& b) {
+      return a.size_ == b.size_ &&
+             std::equal(a.data(), a.data() + a.size_, b.data());
+    }
+
+   private:
+    bool on_heap() const { return cap_ > kInline; }
+    void reserve(std::size_t n);  // keeps the current limbs
+    void release() {
+      if (on_heap()) delete[] u_.heap;
+      cap_ = kInline;
+      size_ = 0;
+    }
+    void copy_from(const Limbs& o) {
+      size_ = 0;
+      reserve(o.size_);
+      std::copy_n(o.data(), o.size_, data());
+      size_ = o.size_;
+    }
+    void steal(Limbs& o) noexcept {
+      size_ = o.size_;
+      cap_ = o.cap_;
+      u_ = o.u_;
+      o.size_ = 0;
+      o.cap_ = kInline;
+    }
+
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = kInline;
+    union {
+      std::uint32_t inl[kInline];
+      std::uint32_t* heap;
+    } u_{};
+  };
+
+  static int compare_mag(const Limbs& a, const Limbs& b);
+  static Limbs add_mag(const Limbs& a, const Limbs& b);
   // Requires |a| >= |b|.
-  static std::vector<std::uint32_t> sub_mag(
-      const std::vector<std::uint32_t>& a,
-      const std::vector<std::uint32_t>& b);
-  static std::vector<std::uint32_t> mul_mag(
-      const std::vector<std::uint32_t>& a,
-      const std::vector<std::uint32_t>& b);
+  static Limbs sub_mag(const Limbs& a, const Limbs& b);
+  static Limbs mul_mag(const Limbs& a, const Limbs& b);
   void trim();
 
   int sign_ = 0;
-  std::vector<std::uint32_t> mag_;
+  Limbs mag_;
 };
+
+// The inline limbs share the footprint of a heap pointer, size and capacity,
+// so Matrix<BigInt> and Matrix<Rational> entries stay at 32 and 64 bytes.
+static_assert(sizeof(BigInt) <= 32);
 
 inline BigInt abs(const BigInt& a) { return a.abs(); }
 inline BigInt gcd(const BigInt& a, const BigInt& b) {

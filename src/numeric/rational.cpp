@@ -92,7 +92,6 @@ double Rational::to_double() const {
   // Scale so the quotient of doubles stays in range.
   auto nb = static_cast<long>(num_.bit_length());
   auto db = static_cast<long>(den_.bit_length());
-  long shift = nb - db;  // result magnitude ~ 2^shift
   // Bring both operands near 2^60 before converting.
   BigInt n = num_;
   BigInt d = den_;
@@ -100,7 +99,6 @@ double Rational::to_double() const {
   if (db > 512) d = d >> static_cast<std::size_t>(db - 512);
   double q = n.to_double() / d.to_double();
   long applied = (nb > 512 ? nb - 512 : 0) - (db > 512 ? db - 512 : 0);
-  (void)shift;
   return std::ldexp(q, static_cast<int>(applied));
 }
 

@@ -75,8 +75,9 @@ namespace pfact::obs {
   X(kSoftFloatRoundTowardZero, "softfloat-round-toward-zero")                  \
   X(kSoftFloatRoundAwayFromZero, "softfloat-round-away-from-zero")             \
   /* --- numeric/: BigInt --- */                                               \
-  X(kBigIntAllocs, "bigint-allocs") /* magnitude vectors allocated */          \
-  /* total 32-bit limbs in those allocations */                                \
+  /* nonzero magnitudes produced (counted at trim()) */                        \
+  X(kBigIntAllocs, "bigint-allocs")                                            \
+  /* total 32-bit limbs in those magnitudes */                                 \
   X(kBigIntLimbsAllocated, "bigint-limbs-allocated")                           \
   X(kBigIntMuls, "bigint-muls")                                                \
   X(kBigIntDivs, "bigint-divs")                                                \
@@ -202,7 +203,7 @@ inline const char* counter_name(Counter c) {
 #define PFACT_HISTOGRAM_ROWS(X)                                                \
   /* piv - k: how far the chosen pivot row travelled */                        \
   X(kPivotMoveDistance, "pivot-move-distance")                                 \
-  X(kBigIntLimbs, "bigint-limbs") /* limb count of allocated magnitudes */     \
+  X(kBigIntLimbs, "bigint-limbs") /* limb count of produced magnitudes */      \
   X(kSpanDurationUs, "span-duration-us") /* span wall time, microseconds */    \
   /* service queue depth observed at each admission */                         \
   X(kQueueDepth, "queue-depth")                                                \

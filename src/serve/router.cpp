@@ -75,7 +75,7 @@ ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
                          ".sock";
       s.spec.service = options_.service;
       ::unlink(s.spec.unix_path.c_str());
-      s.pid = spawn_shard(s.spec);
+      s.pid = spawn_shard(s.spec, fork_thread_);
       s.started_at = now;
       if (s.pid < 0) {
         // fork() itself failed: enter the ordinary heal path — the
@@ -422,7 +422,7 @@ void ShardRouter::reap_and_heal(std::chrono::steady_clock::time_point now) {
     if (s.status == ShardStatus::kRestarting && s.pid <= 0 &&
         now >= s.restart_not_before) {
       ::unlink(s.spec.unix_path.c_str());
-      s.pid = spawn_shard(s.spec);
+      s.pid = spawn_shard(s.spec, fork_thread_);
       if (s.pid < 0) {
         s.last_exit = WorkerExit::kForkFailure;
         ++s.restart_attempt;

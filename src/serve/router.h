@@ -263,6 +263,7 @@ class ShardRouter {
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> not_serving_{0};  // shards currently != kServing
   std::condition_variable wake_;  // supervision tick / shutdown wakeup
+  ForkThread fork_thread_;  // every shard fork; outlives the shards it forks
   std::thread supervisor_;
 };
 

@@ -52,11 +52,8 @@ namespace {
 
 }  // namespace
 
-pid_t spawn_shard(const ShardSpec& spec) {
-  const pid_t pid = ::fork();
-  if (pid < 0) return -1;
-  if (pid == 0) shard_child_main(spec);  // never returns
-  return pid;
+pid_t spawn_shard(const ShardSpec& spec, ForkThread& forker) {
+  return forker.fork([&spec] { shard_child_main(spec); });
 }
 
 bool probe_shard(const std::string& unix_path,

@@ -27,6 +27,7 @@
 #include "obs/counters.h"
 #include "obs/taxonomy.h"
 #include "robustness/diagnostics.h"
+#include "serve/fork_thread.h"
 #include "serve/queue.h"
 
 namespace pfact::serve {
@@ -90,10 +91,11 @@ struct ShardSpec {
   ServiceOptions service;   // private pool/queue/cache configuration
 };
 
-// Forks a shard child. The child builds a ReductionService + Frontend on
-// spec.unix_path and serves until SIGTERM (graceful drain) or a harder
-// death; it never returns. The parent gets the pid, or -1 if fork failed.
-pid_t spawn_shard(const ShardSpec& spec);
+// Forks a shard child on `forker`, so the shard dies with the process that
+// owns it. The child builds a ReductionService + Frontend on spec.unix_path
+// and serves until SIGTERM (graceful drain) or a harder death; it never
+// returns. The parent gets the pid, or -1 if fork failed.
+pid_t spawn_shard(const ShardSpec& spec, ForkThread& forker);
 
 // One blocking heartbeat: connect to `unix_path`, send an empty kProbe
 // frame, and wait for the echo within `deadline`. True only on a verified

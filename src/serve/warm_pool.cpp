@@ -11,6 +11,7 @@
 
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "serve/fork_thread.h"
 #include "serve/worker.h"
 
 namespace pfact::serve {
@@ -75,7 +76,16 @@ bool WarmPool::spawn_slot(std::size_t idx) {
   set_cloexec(from[0]);
   set_cloexec(from[1]);
 
-  const pid_t pid = fork_fn_ ? fork_fn_() : ::fork();
+  // Child: keep stdio and our own two pipe ends, close everything else —
+  // sibling slots' and other pools' parent-side ends included: an inherited
+  // duplicate of a request-pipe write end would keep that pipe's worker
+  // from ever seeing its retirement EOF.
+  const pid_t pid = fork_tied_to_parent(
+      [&] {
+        close_fds_except(to[0], from[1]);
+        ::_exit(worker_loop_main(to[0], from[1]));
+      },
+      fork_fn_);
   if (pid < 0) {
     ::close(to[0]);
     ::close(to[1]);
@@ -84,15 +94,6 @@ bool WarmPool::spawn_slot(std::size_t idx) {
     PFACT_COUNT(kServeForkFailures);
     return false;
   }
-  if (pid == 0) {
-    // Child. Keep stdio and our own two pipe ends, close everything else —
-    // sibling slots' and other pools' parent-side ends included: an
-    // inherited duplicate of a request-pipe write end would keep that
-    // pipe's worker from ever seeing its retirement EOF.
-    close_fds_except(to[0], from[1]);
-    ::_exit(worker_loop_main(to[0], from[1]));
-  }
-
   // Parent.
   ::close(to[0]);
   ::close(from[1]);

@@ -19,6 +19,9 @@
 //     classifies it with classify_wait_status (worker_pool.h), and
 //     respawns a fresh child — the auto-respawn the soak harness's kill
 //     campaigns assert. A slot that cannot be (re)spawned is kForkFailure.
+//   * no orphans: children are forked with fork_tied_to_parent
+//     (fork_thread.h) and exit when the process that owns the pool dies,
+//     even when the slot was respawned on a short-lived caller thread.
 //   * isolation: a freshly forked child keeps stdio and its own two pipe
 //     ends and closes every other descriptor (close_fds_except, worker.h)
 //     before entering its loop. Without this, a child holding a duplicate

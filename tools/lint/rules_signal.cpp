@@ -26,7 +26,7 @@ namespace {
 const std::set<std::string> kSafeFree = {
     "write", "read",  "close", "_exit",  "_Exit",        "abort",
     "raise", "kill",  "signal", "sigaction", "fsync",    "fdatasync",
-    "dup",   "dup2",  "pipe",  "getpid", "gettid",       "time",
+    "dup",   "dup2",  "pipe",  "getpid", "getppid", "gettid", "time",
     "clock_gettime", "sem_post", "send", "recv",
 };
 
